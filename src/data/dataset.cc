@@ -26,6 +26,35 @@ Status Dataset::Append(const TupleValues& values, ClassLabel label) {
   return Status::OK();
 }
 
+Status Dataset::AppendColumns(
+    const std::vector<std::vector<AttrValue>>& columns,
+    std::span<const ClassLabel> labels) {
+  if (static_cast<int>(columns.size()) != num_attrs()) {
+    return Status::InvalidArgument(
+        StringPrintf("%zu columns, schema has %d attributes", columns.size(),
+                     num_attrs()));
+  }
+  for (const auto& column : columns) {
+    if (column.size() != labels.size()) {
+      return Status::InvalidArgument(
+          StringPrintf("column has %zu values, expected %zu", column.size(),
+                       labels.size()));
+    }
+  }
+  for (ClassLabel label : labels) {
+    if (label >= num_classes()) {
+      return Status::InvalidArgument(
+          StringPrintf("label %d out of range [0,%d)", label, num_classes()));
+    }
+  }
+  for (int a = 0; a < num_attrs(); ++a) {
+    columns_[a].insert(columns_[a].end(), columns[a].begin(), columns[a].end());
+  }
+  labels_.insert(labels_.end(), labels.begin(), labels.end());
+  num_tuples_ += static_cast<int64_t>(labels.size());
+  return Status::OK();
+}
+
 void Dataset::Reserve(int64_t n) {
   for (auto& col : columns_) col.reserve(n);
   labels_.reserve(n);

@@ -35,6 +35,11 @@ class Dataset {
   /// be < num_classes().
   Status Append(const TupleValues& values, ClassLabel label);
 
+  /// Appends `labels.size()` tuples given column by column: `columns[a]`
+  /// holds attribute a's values for them. Checks sizes and labels as Append.
+  Status AppendColumns(const std::vector<std::vector<AttrValue>>& columns,
+                       std::span<const ClassLabel> labels);
+
   /// Reserves space for `n` tuples.
   void Reserve(int64_t n);
 

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,40 +46,68 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+namespace {
+
+// Each parser below takes std::from_chars' verdict when from_chars accepts
+// the whole token, and otherwise asks the C library, so the accepted grammar
+// is exactly strto*'s: from_chars rejects a leading '+' and hex, and its
+// range checks differ from strtod's (glibc also flags subnormal results).
+
+template <typename T>
+bool FromCharsWhole(std::string_view s, T* out) {
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
+  return ec == std::errc() && ptr == s.data() + s.size();
+}
+
+// Runs `strto` on a NUL-terminated copy of `s`; sets `*out` only when it
+// consumed all of `s` with no range error.
+template <typename T, typename Strto>
+bool StrtoWhole(std::string_view s, Strto strto, T* out) {
+  const std::string buf(s);
+  char* end = nullptr;
+  errno = 0;
+  const auto v = strto(buf.c_str(), &end);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  *out = static_cast<T>(v);
+  return true;
+}
+
+}  // namespace
+
 bool ParseDouble(std::string_view s, double* out) {
   s = TrimWhitespace(s);
   if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
+  double v = 0.0;
+  if (FromCharsWhole(s, &v) && std::isnormal(v)) {
+    *out = v;
+    return true;
+  }
+  return StrtoWhole(
+      s, [](const char* p, char** e) { return std::strtod(p, e); }, out);
 }
 
 bool ParseInt64(std::string_view s, int64_t* out) {
   s = TrimWhitespace(s);
   if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
+  int64_t v = 0;
+  if (FromCharsWhole(s, &v)) {
+    *out = v;
+    return true;
+  }
+  return StrtoWhole(
+      s, [](const char* p, char** e) { return std::strtoll(p, e, 10); }, out);
 }
 
 bool ParseUint64(std::string_view s, uint64_t* out) {
   s = TrimWhitespace(s);
   if (s.empty() || s[0] == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
+  uint64_t v = 0;
+  if (FromCharsWhole(s, &v)) {
+    *out = v;
+    return true;
+  }
+  return StrtoWhole(
+      s, [](const char* p, char** e) { return std::strtoull(p, e, 10); }, out);
 }
 
 std::string JoinStrings(const std::vector<std::string>& items,

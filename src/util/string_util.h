@@ -21,13 +21,19 @@ std::vector<std::string> SplitString(std::string_view s, char delim);
 /// Trims ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 
-/// Parses a double; returns false on any trailing garbage.
+/// Parses a double from the whitespace-trimmed `s`. Accepts exactly the
+/// tokens strtod consumes whole without a range error (glibc reports one
+/// for subnormal results too). Tokens std::from_chars cannot decide (a
+/// leading '+', hex, inf/nan, zero, subnormal or out of range) are handed to
+/// strtod as a copy.
 bool ParseDouble(std::string_view s, double* out);
 
-/// Parses a signed 64-bit integer; returns false on any trailing garbage.
+/// Parses a signed base-10 64-bit integer from the whitespace-trimmed `s`,
+/// with strtoll's grammar; returns false on any trailing garbage or overflow.
 bool ParseInt64(std::string_view s, int64_t* out);
 
-/// Parses an unsigned 64-bit integer; returns false on sign or garbage.
+/// Parses an unsigned base-10 64-bit integer with strtoull's grammar, minus
+/// a leading '-'; returns false on sign, garbage or overflow.
 bool ParseUint64(std::string_view s, uint64_t* out);
 
 /// Joins items with `sep`.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace smptree {
 namespace {
 
@@ -40,6 +42,40 @@ TEST(DatasetTest, AppendRejectsWrongArity) {
 TEST(DatasetTest, AppendRejectsBadLabel) {
   Dataset d(MakeSchema());
   EXPECT_TRUE(d.Append(MakeTuple(1.0f, 0), 2).IsInvalidArgument());
+}
+
+TEST(DatasetTest, AppendColumnsMatchesAppend) {
+  Dataset rows(MakeSchema());
+  ASSERT_TRUE(rows.Append(MakeTuple(30.0f, 1), 0).ok());
+  ASSERT_TRUE(rows.Append(MakeTuple(55.5f, 2), 1).ok());
+  ASSERT_TRUE(rows.Append(MakeTuple(7.0f, 0), 1).ok());
+
+  Dataset columns(MakeSchema());
+  ASSERT_TRUE(columns.Append(MakeTuple(30.0f, 1), 0).ok());
+  std::vector<std::vector<AttrValue>> block(2);
+  block[0] = {rows.value(1, 0), rows.value(2, 0)};
+  block[1] = {rows.value(1, 1), rows.value(2, 1)};
+  const std::vector<ClassLabel> labels = {1, 1};
+  ASSERT_TRUE(columns.AppendColumns(block, labels).ok());
+  ASSERT_EQ(columns.num_tuples(), 3);
+  for (int64_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(columns.value(t, 0).f, rows.value(t, 0).f);
+    EXPECT_EQ(columns.value(t, 1).cat, rows.value(t, 1).cat);
+    EXPECT_EQ(columns.label(t), rows.label(t));
+  }
+}
+
+TEST(DatasetTest, AppendColumnsRejectsBadShapeAndLabels) {
+  Dataset d(MakeSchema());
+  std::vector<std::vector<AttrValue>> block(2, std::vector<AttrValue>(2));
+  std::vector<ClassLabel> labels = {0, 1};
+  EXPECT_TRUE(d.AppendColumns({block[0]}, labels).IsInvalidArgument());
+  block[1].pop_back();
+  EXPECT_TRUE(d.AppendColumns(block, labels).IsInvalidArgument());
+  block[1].push_back(AttrValue{});
+  labels[1] = 2;
+  EXPECT_TRUE(d.AppendColumns(block, labels).IsInvalidArgument());
+  EXPECT_EQ(d.num_tuples(), 0);
 }
 
 TEST(DatasetTest, TupleGathersRow) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <fstream>
 #include <memory>
 #include <string>
@@ -151,7 +153,10 @@ TEST_P(ServeHttpTest, HealthzReportsEpoch) {
 }
 
 TEST_P(ServeHttpTest, ReloadSwapsModelAndBumpsEpoch) {
-  const std::string path = testing::TempDir() + "/http_reload.tree";
+  // ctest runs each front end's case in its own process, possibly at once,
+  // so the file name carries the pid.
+  const std::string path = testing::TempDir() + "/http_reload_" +
+                           std::to_string(::getpid()) + ".tree";
   {
     std::ofstream out(path);
     out << SerializeTree(LeafTree(0));  // everything classifies "high"

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
+
 namespace smptree {
 namespace {
 
@@ -54,6 +60,76 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("", &v));
   EXPECT_FALSE(ParseDouble("1.5x", &v));
   EXPECT_FALSE(ParseDouble("abc", &v));
+}
+
+// The C library's verdict on a whitespace-trimmed token: accepted only when
+// consumed whole with no range error. ParseDouble/ParseInt64/ParseUint64
+// must agree with it on every token.
+template <typename T, typename Parse>
+bool Reference(const char* token, Parse parse, T* out) {
+  const std::string s(TrimWhitespace(token));
+  if (s.empty()) return false;
+  char* end = nullptr;
+  errno = 0;
+  *out = static_cast<T>(parse(s.c_str(), &end));
+  return errno == 0 && end == s.c_str() + s.size();
+}
+
+const char* const kNumberTokens[] = {
+    "+1",   " 7 ",  "1e-310", "1e400", "0x1p3", "inf", "nan",
+    "-0",   ".5",   "5.",     "1e",    "",      "1,5", "-nan",
+    "1e-400", "-1.5e-7", "3.40282347e+38", "0", "0.0", "00012", "-",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "18446744073709551615", "18446744073709551616", "+-1", "1 2", "0x10",
+    "INFINITY", "nan(7)", "2.2250738585072014e-308", "49025.6484"};
+
+TEST(ParseDoubleTest, AgreesWithStrtod) {
+  for (const char* token : kNumberTokens) {
+    double want = 0.0;
+    const bool want_ok = Reference(
+        token, [](const char* s, char** e) { return std::strtod(s, e); },
+        &want);
+    double got = 0.0;
+    ASSERT_EQ(ParseDouble(token, &got), want_ok) << "'" << token << "'";
+    if (!want_ok) continue;
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << "'" << token << "'";
+    } else {
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(got)), 0)
+          << "'" << token << "': " << got << " vs " << want;
+    }
+  }
+}
+
+TEST(ParseInt64Test, AgreesWithStrtoll) {
+  for (const char* token : kNumberTokens) {
+    int64_t want = 0;
+    const bool want_ok = Reference(
+        token, [](const char* s, char** e) { return std::strtoll(s, e, 10); },
+        &want);
+    int64_t got = 0;
+    ASSERT_EQ(ParseInt64(token, &got), want_ok) << "'" << token << "'";
+    if (want_ok) {
+      EXPECT_EQ(got, want) << "'" << token << "'";
+    }
+  }
+}
+
+TEST(ParseUint64Test, AgreesWithStrtoullExceptNegatives) {
+  for (const char* token : kNumberTokens) {
+    uint64_t want = 0;
+    const bool want_ok =
+        TrimWhitespace(token).substr(0, 1) != "-" &&
+        Reference(
+            token,
+            [](const char* s, char** e) { return std::strtoull(s, e, 10); },
+            &want);
+    uint64_t got = 0;
+    ASSERT_EQ(ParseUint64(token, &got), want_ok) << "'" << token << "'";
+    if (want_ok) {
+      EXPECT_EQ(got, want) << "'" << token << "'";
+    }
+  }
 }
 
 TEST(ParseInt64Test, AcceptsValid) {
