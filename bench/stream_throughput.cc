@@ -4,8 +4,8 @@
 // compare held-out accuracy -- the streaming tree must land within 2% of the
 // batch tree on most functions while touching each tuple once in bounded
 // memory. Reports ingest throughput, an accuracy-vs-tuples curve from live
-// mid-stream checkpoints, the builder's bounded state (sketch + active leaf
-// histograms), and process peak RSS.
+// mid-stream checkpoints, the builder's bounded state (cut points + active
+// leaf histograms), and process peak RSS.
 //
 //   stream_throughput [--quick] [--tuples N] [--test-tuples N]
 //                     [--max-bins B] [--functions 1,5,7] [--out runs.json]
@@ -58,7 +58,7 @@ struct Run {
   int64_t batch_nodes = 0;
   int64_t splits = 0;
   int64_t deactivated_leaves = 0;
-  uint64_t stream_state_bytes = 0;  ///< sketch + active leaf histograms
+  uint64_t stream_state_bytes = 0;  ///< cut points + active leaf histograms
   std::vector<Checkpoint> checkpoints;
 };
 

@@ -49,4 +49,97 @@ Status LeafHistogram::Subtract(const LeafHistogram& other) {
   return Status::OK();
 }
 
+uint64_t EvaluateBinnedLeafAttr(const Quantizer& quantizer,
+                                const LeafHistogram& bins,
+                                const ClassHistogram& hist, int64_t n,
+                                int attr, const GiniOptions& gini,
+                                GiniScratch* scratch, SplitCandidate* out,
+                                int* out_bin) {
+  const int off = quantizer.offset(attr);
+  const int nbins = quantizer.num_bins(attr);
+  const int num_classes = hist.num_classes();
+  *out = SplitCandidate();
+  *out_bin = -1;
+
+  if (quantizer.categorical(attr)) {
+    CountMatrix& matrix = scratch->matrix;
+    matrix.Reset(nbins, num_classes);
+    for (int b = 0; b < nbins; ++b) {
+      const std::span<const int64_t> row = bins.row(off + b);
+      for (int c = 0; c < num_classes; ++c) {
+        if (row[c] != 0) matrix.AddCount(b, c, row[c]);
+      }
+    }
+    *out = EvaluateCategoricalFromMatrix(attr, matrix, hist, gini, scratch);
+    return static_cast<uint64_t>(nbins);
+  }
+
+  ClassHistogram& below = scratch->below;
+  ClassHistogram& above = scratch->above;
+  below.Reset(num_classes);
+  above = hist;
+  int64_t nl = 0;
+  SplitCandidate best;
+  int best_bin = -1;
+  for (int b = 0; b + 1 < nbins; ++b) {
+    const std::span<const int64_t> row = bins.row(off + b);
+    for (int c = 0; c < num_classes; ++c) {
+      if (row[c] == 0) continue;
+      below.Add(static_cast<ClassLabel>(c), row[c]);
+      above.Remove(static_cast<ClassLabel>(c), row[c]);
+      nl += row[c];
+    }
+    if (nl == 0) continue;  // no records left of this cut yet
+    if (nl == n) break;     // all records left: no proper split remains
+    SplitCandidate candidate;
+    candidate.test.attr = attr;
+    candidate.test.threshold = quantizer.cut(attr, b);
+    candidate.gini =
+        SplitImpurityWithTotals(below, above, nl, n - nl, gini.criterion);
+    candidate.left_count = nl;
+    candidate.right_count = n - nl;
+    if (candidate.BetterThan(best)) {
+      best = candidate;
+      best_bin = b;
+    }
+  }
+  *out = best;
+  *out_bin = best_bin;
+  return nbins > 0 ? static_cast<uint64_t>(nbins - 1) : 0;
+}
+
+Status SplitChildHistograms(const Quantizer& quantizer,
+                            const LeafHistogram& bins,
+                            const ClassHistogram& hist,
+                            const SplitCandidate& winner, int winner_bin,
+                            NodeId node, ClassHistogram* left,
+                            ClassHistogram* right) {
+  const int num_classes = hist.num_classes();
+  const int off = quantizer.offset(winner.test.attr);
+  const int nbins = quantizer.num_bins(winner.test.attr);
+  left->Reset(num_classes);
+  for (int b = 0; b < nbins; ++b) {
+    const bool goes_left = winner.test.categorical
+                               ? winner.test.SubsetContains(b)
+                               : b <= winner_bin;
+    if (!goes_left) continue;
+    const std::span<const int64_t> row = bins.row(off + b);
+    for (int c = 0; c < num_classes; ++c) {
+      left->Add(static_cast<ClassLabel>(c), row[c]);
+    }
+  }
+  *right = hist;
+  right->Subtract(*left);
+  if (left->Total() != winner.left_count ||
+      right->Total() != winner.right_count) {
+    return Status::Corruption(StringPrintf(
+        "winner split of node %d covers %lld/%lld tuples, expected %lld/%lld",
+        node, static_cast<long long>(left->Total()),
+        static_cast<long long>(right->Total()),
+        static_cast<long long>(winner.left_count),
+        static_cast<long long>(winner.right_count)));
+  }
+  return Status::OK();
+}
+
 }  // namespace smptree

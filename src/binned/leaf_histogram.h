@@ -1,10 +1,14 @@
-// Per-leaf (bin x class) count histogram for the binned engine: the flat
+// Per-leaf (bin x class) count histogram for the binned engines: the flat
 // concatenation of every attribute's bin rows (layout per Quantizer::offset),
 // each row holding num_classes int64 counts. Split evaluation sweeps these
 // rows instead of attribute-list records, and a leaf's histogram can be
 // derived from its parent's by subtracting the sibling's -- the "histogram
 // subtraction" trick that halves H-phase scan work per level: only the
 // smaller child of each split is built by scanning.
+//
+// The batch builder (binned/binned_builder.h) and the Hoeffding stream
+// builder (stream/hoeffding_builder.h) both evaluate and apply splits from
+// these rows through the two functions at the end of this file.
 
 #ifndef SMPTREE_BINNED_LEAF_HISTOGRAM_H_
 #define SMPTREE_BINNED_LEAF_HISTOGRAM_H_
@@ -13,7 +17,12 @@
 #include <span>
 #include <vector>
 
+#include "binned/quantizer.h"
+#include "core/gini.h"
+#include "core/histogram.h"
 #include "core/records.h"
+#include "core/split.h"
+#include "core/tree.h"
 #include "util/status.h"
 
 namespace smptree {
@@ -64,6 +73,32 @@ class LeafHistogram {
   int num_classes_ = 0;
   std::vector<int64_t> counts_;
 };
+
+/// E for one (leaf, attr): sweeps `attr`'s rows of `bins` exactly like
+/// ReferenceEvaluateContinuousAttr sweeps records -- same Add/Remove
+/// accumulation, same SplitImpurityWithTotals call, same BetterThan tie
+/// rule -- so where cuts coincide with exact candidate points the impurities
+/// agree bit-for-bit. `hist` is the leaf's class distribution and `n` its
+/// tuple count. A continuous winner goes left iff bin <= *out_bin (-1 for
+/// categorical or no candidate). Returns the boundaries examined (the
+/// bins_scanned unit).
+uint64_t EvaluateBinnedLeafAttr(const Quantizer& quantizer,
+                                const LeafHistogram& bins,
+                                const ClassHistogram& hist, int64_t n,
+                                int attr, const GiniOptions& gini,
+                                GiniScratch* scratch, SplitCandidate* out,
+                                int* out_bin);
+
+/// Child class distributions of `winner` (with EvaluateBinnedLeafAttr's
+/// `winner_bin`) at leaf `node`: left sums the winner attribute's bin rows
+/// that go left, right is `hist` minus left. Returns Corruption unless they
+/// hold winner.left_count / right_count tuples.
+Status SplitChildHistograms(const Quantizer& quantizer,
+                            const LeafHistogram& bins,
+                            const ClassHistogram& hist,
+                            const SplitCandidate& winner, int winner_bin,
+                            NodeId node, ClassHistogram* left,
+                            ClassHistogram* right);
 
 }  // namespace smptree
 

@@ -133,10 +133,9 @@ struct Block {
   std::vector<ClassLabel> labels;
   int64_t lines = 0;  ///< lines parsed, blank ones included
   /// First bad line, counted from the block's first line (its number in the
-  /// file is known only once every earlier block is parsed), and its error.
-  /// A `numbered` message still needs its "line N: " prefix.
+  /// file is known only once every earlier block is parsed), and its error,
+  /// which still needs its "line N: " prefix.
   int64_t error_line = 0;
-  bool numbered = false;
   Status error;
 };
 
@@ -192,7 +191,6 @@ class LineBlockReader {
 Status ParseLine(const Schema& schema, std::string_view line, Block* block) {
   const std::string_view whole = line;
   const auto field_count_error = [&] {
-    block->numbered = true;
     const size_t fields =
         static_cast<size_t>(std::count(whole.begin(), whole.end(), ',')) + 1;
     return Status::Corruption(StringPrintf(
@@ -228,7 +226,6 @@ Status ParseLine(const Schema& schema, std::string_view line, Block* block) {
     }
   }
   if (label < 0) {
-    block->numbered = true;
     return Status::Corruption(StringPrintf("unknown class '%.*s'",
                                            static_cast<int>(label_text.size()),
                                            label_text.data()));
@@ -243,7 +240,6 @@ void ParseBlock(const Schema& schema, Block* block) {
   for (auto& column : block->columns) column.clear();
   block->labels.clear();
   block->lines = 0;
-  block->numbered = false;
   block->error = Status::OK();
   std::string_view rest = block->text;
   while (!rest.empty()) {
@@ -302,7 +298,6 @@ Result<Dataset> LoadCsv(const Schema& schema, ReadFn read) {
     for (int b = 0; b < ready; ++b) {
       Block& block = blocks[b];
       if (!block.error.ok()) {
-        if (!block.numbered) return block.error;
         const std::string_view msg = block.error.message();
         return Status::Corruption(StringPrintf(
             "line %lld: %.*s",

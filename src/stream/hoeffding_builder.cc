@@ -1,76 +1,15 @@
 #include "stream/hoeffding_builder.h"
 
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "core/tree_io.h"
+#include "data/sampling.h"
 #include "util/string_util.h"
 
 namespace smptree {
 
 namespace {
-
-/// E for one (leaf, attr) of the streaming frontier: the same sweep as the
-/// batch engine's EvaluateBinnedLeafAttr, against the frozen sketch's cuts.
-/// `n_total` is the leaf's observed tuple count (== hist.Total()).
-void EvaluateStreamLeafAttr(const SketchQuantizer& sketch,
-                            const LeafHistogram& bins,
-                            const ClassHistogram& hist, int64_t n_total,
-                            int attr, const GiniOptions& gini,
-                            GiniScratch* scratch, SplitCandidate* out,
-                            int* out_bin) {
-  const int off = sketch.offset(attr);
-  const int nbins = sketch.num_bins(attr);
-  const int num_classes = hist.num_classes();
-  *out = SplitCandidate();
-  *out_bin = -1;
-
-  if (sketch.categorical(attr)) {
-    CountMatrix& matrix = scratch->matrix;
-    matrix.Reset(nbins, num_classes);
-    for (int b = 0; b < nbins; ++b) {
-      const std::span<const int64_t> row = bins.row(off + b);
-      for (int c = 0; c < num_classes; ++c) {
-        if (row[c] != 0) matrix.AddCount(b, c, row[c]);
-      }
-    }
-    *out = EvaluateCategoricalFromMatrix(attr, matrix, hist, gini, scratch);
-    return;
-  }
-
-  ClassHistogram& below = scratch->below;
-  ClassHistogram& above = scratch->above;
-  below.Reset(num_classes);
-  above = hist;
-  int64_t nl = 0;
-  SplitCandidate best;
-  int best_bin = -1;
-  for (int b = 0; b + 1 < nbins; ++b) {
-    const std::span<const int64_t> row = bins.row(off + b);
-    for (int c = 0; c < num_classes; ++c) {
-      if (row[c] == 0) continue;
-      below.Add(static_cast<ClassLabel>(c), row[c]);
-      above.Remove(static_cast<ClassLabel>(c), row[c]);
-      nl += row[c];
-    }
-    if (nl == 0) continue;     // nothing left of this cut yet
-    if (nl == n_total) break;  // all records left: no proper split remains
-    SplitCandidate candidate;
-    candidate.test.attr = attr;
-    candidate.test.threshold = sketch.cut(attr, b);
-    candidate.gini = SplitImpurityWithTotals(below, above, nl, n_total - nl,
-                                             gini.criterion);
-    candidate.left_count = nl;
-    candidate.right_count = n_total - nl;
-    if (candidate.BetterThan(best)) {
-      best = candidate;
-      best_bin = b;
-    }
-  }
-  *out = best;
-  *out_bin = best_bin;
-}
 
 /// Majority with ClassHistogram::Majority's tie rule (lowest label wins).
 ClassLabel MajorityOf(const std::vector<int64_t>& counts) {
@@ -89,7 +28,10 @@ ClassLabel MajorityOf(const std::vector<int64_t>& counts) {
 
 HoeffdingTreeBuilder::HoeffdingTreeBuilder(const Schema& schema,
                                            HoeffdingOptions options)
-    : schema_(schema), options_(std::move(options)), tree_(schema) {}
+    : schema_(schema),
+      options_(std::move(options)),
+      tree_(schema),
+      warmup_(schema) {}
 
 Status HoeffdingTreeBuilder::Init() {
   if (initialized_) return Status::InvalidArgument("Init called twice");
@@ -105,11 +47,15 @@ Status HoeffdingTreeBuilder::Init() {
   if (options_.warmup_tuples < 0) {
     return Status::InvalidArgument("negative warmup_tuples");
   }
-  SketchQuantizer::Options sketch_options;
-  sketch_options.max_bins = options_.max_bins;
-  sketch_options.reservoir_size = options_.reservoir_size;
-  sketch_options.seed = options_.seed;
-  SMPTREE_RETURN_IF_ERROR(sketch_.Init(schema_, sketch_options));
+  SMPTREE_RETURN_IF_ERROR(schema_.Validate());
+  // Built over the still-empty warmup buffer, the quantizer checks max_bins
+  // and every categorical cardinality before the first tuple arrives.
+  SMPTREE_RETURN_IF_ERROR(quantizer_.Build(warmup_, options_.max_bins));
+  if (options_.reservoir_size < options_.max_bins) {
+    return Status::InvalidArgument(StringPrintf(
+        "reservoir_size %d below max_bins %d", options_.reservoir_size,
+        options_.max_bins));
+  }
 
   tree_.CreateRoot(ClassHistogram(schema_.num_classes()));
   initialized_ = true;
@@ -149,11 +95,10 @@ Status HoeffdingTreeBuilder::IngestOne(const TupleValues& values,
         StringPrintf("label %d out of range", int{label}));
   }
 
-  if (!sketch_.frozen()) {
-    sketch_.Observe(values);
-    warmup_.emplace_back(values, label);
+  if (!frozen_) {
+    SMPTREE_RETURN_IF_ERROR(warmup_.Append(values, label));
     counters_.tuples.fetch_add(1, std::memory_order_relaxed);
-    if (sketch_.observed() >= options_.warmup_tuples) {
+    if (warmup_.num_tuples() >= options_.warmup_tuples) {
       SMPTREE_RETURN_IF_ERROR(FreezeAndReplay());
     }
   } else {
@@ -171,25 +116,37 @@ Status HoeffdingTreeBuilder::IngestOne(const TupleValues& values,
 }
 
 Status HoeffdingTreeBuilder::FreezeAndReplay() {
-  SMPTREE_RETURN_IF_ERROR(sketch_.Freeze());
-  counters_.sketch_bytes.store(sketch_.MemoryBytes(),
-                               std::memory_order_relaxed);
+  // Cuts follow the batch rule over the whole warmup, or over a seeded
+  // sample of reservoir_size of its tuples when it holds more.
+  if (warmup_.num_tuples() > options_.reservoir_size) {
+    SMPTREE_ASSIGN_OR_RETURN(const Dataset shuffled,
+                             ShuffleDataset(warmup_, options_.seed));
+    SMPTREE_RETURN_IF_ERROR(quantizer_.Build(
+        TakePrefix(shuffled, options_.reservoir_size), options_.max_bins));
+  } else {
+    SMPTREE_RETURN_IF_ERROR(quantizer_.Build(warmup_, options_.max_bins));
+  }
+  frozen_ = true;
+  uint64_t cut_bytes = 0;
+  for (int a = 0; a < quantizer_.num_attrs(); ++a) {
+    cut_bytes += static_cast<uint64_t>(quantizer_.num_cuts(a)) * sizeof(float);
+  }
+  counters_.sketch_bytes.store(cut_bytes, std::memory_order_relaxed);
   counters_.frozen.store(true, std::memory_order_relaxed);
   // Size the histograms of the leaves that already exist (just the root
   // unless warmup was zero-length).
   uint64_t active_bytes = 0;
   for (StreamLeaf& leaf : leaves_) {
     if (leaf.node == kInvalidNode || !leaf.active) continue;
-    leaf.bins.Reset(sketch_.total_bins(), schema_.num_classes());
+    leaf.bins.Reset(quantizer_.total_bins(), schema_.num_classes());
     active_bytes += LeafBytes();
   }
   counters_.histogram_bytes.store(active_bytes, std::memory_order_relaxed);
 
-  for (const auto& [values, label] : warmup_) {
-    SMPTREE_RETURN_IF_ERROR(Route(values, label));
+  for (int64_t t = 0; t < warmup_.num_tuples(); ++t) {
+    SMPTREE_RETURN_IF_ERROR(Route(warmup_.Tuple(t), warmup_.label(t)));
   }
-  warmup_.clear();
-  warmup_.shrink_to_fit();
+  warmup_ = Dataset(schema_);
   return Status::OK();
 }
 
@@ -220,8 +177,8 @@ Status HoeffdingTreeBuilder::Route(const TupleValues& values,
 
   const int num_attrs = schema_.num_attrs();
   for (int a = 0; a < num_attrs; ++a) {
-    leaf.bins.Add(sketch_.offset(a) +
-                      sketch_.BinOf(a, values[static_cast<size_t>(a)]),
+    leaf.bins.Add(quantizer_.offset(a) +
+                      quantizer_.BinOf(a, values[static_cast<size_t>(a)]),
                   label);
   }
   if (++leaf.since_eval >= options_.grace_period) {
@@ -243,7 +200,7 @@ Status HoeffdingTreeBuilder::TrySplit(int slot) {
   for (int a = 0; a < num_attrs; ++a) {
     SplitCandidate candidate;
     int bin = -1;
-    EvaluateStreamLeafAttr(sketch_, leaf.bins, leaf.hist, n, a,
+    EvaluateBinnedLeafAttr(quantizer_, leaf.bins, leaf.hist, n, a,
                            options_.gini, &scratch_, &candidate, &bin);
     if (candidate.BetterThan(best)) {
       second = best;
@@ -279,39 +236,14 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
                                      int best_bin) {
   const int num_classes = schema_.num_classes();
 
-  // Observed partition of this leaf's tuples, from the winner's bin rows
-  // (the same derivation as the batch W phase).
-  ClassHistogram obs_left(num_classes);
+  // Observed partition of this leaf's tuples, from the winner's bin rows.
+  StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
+  const NodeId node = leaf.node;
+  ClassHistogram obs_left;
   ClassHistogram obs_right;
-  NodeId node = kInvalidNode;
-  {
-    const StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
-    const int attr = best.test.attr;
-    const int off = sketch_.offset(attr);
-    const int nbins = sketch_.num_bins(attr);
-    for (int b = 0; b < nbins; ++b) {
-      const bool left = best.test.categorical ? best.test.SubsetContains(b)
-                                              : b <= best_bin;
-      if (!left) continue;
-      const std::span<const int64_t> row = leaf.bins.row(off + b);
-      for (int c = 0; c < num_classes; ++c) {
-        if (row[c] != 0) obs_left.Add(static_cast<ClassLabel>(c), row[c]);
-      }
-    }
-    obs_right = leaf.hist;
-    obs_right.Subtract(obs_left);
-    if (obs_left.Total() != best.left_count ||
-        obs_right.Total() != best.right_count) {
-      return Status::Corruption(StringPrintf(
-          "streaming split of node %d covers %lld/%lld observed tuples, "
-          "expected %lld/%lld",
-          leaf.node, static_cast<long long>(obs_left.Total()),
-          static_cast<long long>(obs_right.Total()),
-          static_cast<long long>(best.left_count),
-          static_cast<long long>(best.right_count)));
-    }
-    node = leaf.node;
-  }
+  SMPTREE_RETURN_IF_ERROR(SplitChildHistograms(quantizer_, leaf.bins,
+                                               leaf.hist, best, best_bin, node,
+                                               &obs_left, &obs_right));
 
   // Partition the node's full counts (observed + created-with) exactly:
   // created-with counts follow the observed ratio per class, and the right
@@ -321,7 +253,6 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
   ClassHistogram right_counts(num_classes);
   {
     const TreeNode& nd = tree_.node(node);
-    const StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
     for (int c = 0; c < num_classes; ++c) {
       const int64_t total = nd.class_counts[static_cast<size_t>(c)];
       const int64_t observed = leaf.hist.count(c);
@@ -339,15 +270,11 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
 
   // Retire the parent's slot (its histogram storage is recycled by the
   // children via the free list) and open two fresh leaves.
-  {
-    StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
-    leaf.node = kInvalidNode;
-    leaf.hist.Clear();
-    leaf.since_eval = 0;
-    counters_.active_leaves.fetch_sub(1, std::memory_order_relaxed);
-    counters_.histogram_bytes.fetch_sub(LeafBytes(),
-                                        std::memory_order_relaxed);
-  }
+  leaf.node = kInvalidNode;
+  leaf.hist.Clear();
+  leaf.since_eval = 0;
+  counters_.active_leaves.fetch_sub(1, std::memory_order_relaxed);
+  counters_.histogram_bytes.fetch_sub(LeafBytes(), std::memory_order_relaxed);
   slot_of_node_[static_cast<size_t>(node)] = -1;
   free_slots_.push_back(slot);
   (void)NewLeafSlot(left_child);
@@ -372,8 +299,8 @@ int HoeffdingTreeBuilder::NewLeafSlot(NodeId node) {
   leaf.hist.Reset(schema_.num_classes());
   leaf.since_eval = 0;
   leaf.active = true;
-  if (sketch_.frozen()) {
-    leaf.bins.Reset(sketch_.total_bins(), schema_.num_classes());
+  if (frozen_) {
+    leaf.bins.Reset(quantizer_.total_bins(), schema_.num_classes());
     counters_.histogram_bytes.fetch_add(LeafBytes(),
                                         std::memory_order_relaxed);
   }
@@ -421,7 +348,7 @@ void HoeffdingTreeBuilder::EnforceBudget() {
 }
 
 uint64_t HoeffdingTreeBuilder::LeafBytes() const {
-  return static_cast<uint64_t>(sketch_.total_bins()) *
+  return static_cast<uint64_t>(quantizer_.total_bins()) *
          static_cast<uint64_t>(schema_.num_classes()) * sizeof(int64_t);
 }
 
@@ -429,7 +356,7 @@ Status HoeffdingTreeBuilder::Finish() {
   if (!initialized_) {
     return Status::InvalidArgument("Finish before Init");
   }
-  if (!sketch_.frozen()) {
+  if (!frozen_) {
     SMPTREE_RETURN_IF_ERROR(FreezeAndReplay());
   }
   return Publish();

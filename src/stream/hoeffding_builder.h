@@ -11,14 +11,15 @@
 //
 // Split when (second_best_impurity - best_impurity) > epsilon, or when
 // epsilon < tau after the grace period (the tie-break: both candidates are
-// so close that either is fine). Split evaluation reuses the exact integer
-// sweep of the batch engine (same SplitImpurityWithTotals, same BetterThan
-// tie rule), so a streaming split is bit-comparable to what the batch
-// engine would pick from the same histogram.
+// so close that either is fine). Split evaluation is the batch engine's
+// own bin-row sweep (EvaluateBinnedLeafAttr), so a streaming split is
+// bit-comparable to what the batch engine would pick from the same
+// histogram.
 //
-// Bounded memory: cut points come from a frozen SketchQuantizer (warmup
-// tuples are buffered and replayed through the tree once cuts freeze), and
-// when active leaf histograms exceed the budget the least promising leaves
+// Bounded memory: cut points come from the batch engine's Quantizer, built
+// once over the buffered warmup tuples (or a seeded sample of them) and then
+// frozen; the warmup is replayed through the tree. When active leaf
+// histograms exceed the budget the least promising leaves
 // (lowest observed_count x impurity) are deactivated -- they keep routing
 // and keep their class counts (so predictions stay exact) but stop paying
 // histogram memory and can no longer split.
@@ -40,21 +41,24 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "binned/leaf_histogram.h"
+#include "binned/quantizer.h"
 #include "core/gini.h"
 #include "core/tree.h"
-#include "stream/sketch_quantizer.h"
+#include "data/dataset.h"
 #include "stream/stream_source.h"
 
 namespace smptree {
 
 /// Knobs for the streaming builder.
 struct HoeffdingOptions {
-  int max_bins = 64;          ///< bins per continuous attribute
-  int reservoir_size = 2048;  ///< sketch samples per continuous attribute
+  /// Bins per attribute, in [2, 256]; categorical cardinalities must fit.
+  int max_bins = 64;
+  /// Most warmup tuples the cuts are computed from: a larger warmup is
+  /// sampled down to this many (seeded by `seed`). At least max_bins.
+  int reservoir_size = 2048;
   /// Tuples buffered (and replayed) before cut points freeze.
   int64_t warmup_tuples = 2000;
   /// Minimum new tuples at a leaf between split attempts.
@@ -68,7 +72,7 @@ struct HoeffdingOptions {
   /// boundary snapshots the tree and calls `publish`.
   int64_t snapshot_every = 0;
   GiniOptions gini;
-  uint64_t seed = 1;  ///< reservoir randomness
+  uint64_t seed = 1;  ///< picks the sample when warmup > reservoir_size
   /// Snapshot sink, typically bound to ModelStore::Install. A failure
   /// aborts the stream.
   std::function<Status(DecisionTree&& snapshot, int64_t tuples_ingested)>
@@ -84,7 +88,7 @@ struct StreamStats {
   int64_t deactivated_leaves = 0;
   int64_t snapshots = 0;
   int64_t nodes = 0;
-  uint64_t sketch_bytes = 0;
+  uint64_t sketch_bytes = 0;  ///< the frozen quantizer's cut points
   uint64_t histogram_bytes = 0;
   bool frozen = false;
 };
@@ -94,7 +98,8 @@ class HoeffdingTreeBuilder {
  public:
   HoeffdingTreeBuilder(const Schema& schema, HoeffdingOptions options);
 
-  /// Validates options, initializes the sketch, and creates the root leaf.
+  /// Validates options and the schema's categorical cardinalities against
+  /// max_bins, and creates the root leaf.
   /// Must be called (and succeed) before Ingest.
   Status Init();
 
@@ -105,7 +110,7 @@ class HoeffdingTreeBuilder {
   /// One-tuple Ingest.
   Status IngestOne(const TupleValues& values, ClassLabel label);
 
-  /// Freezes the sketch if the stream ended inside warmup (replaying the
+  /// Freezes the cuts if the stream ended inside warmup (replaying the
   /// buffer), then publishes a final snapshot when a publish hook is set.
   Status Finish();
 
@@ -118,7 +123,8 @@ class HoeffdingTreeBuilder {
 
   const DecisionTree& tree() const { return tree_; }
   const Schema& schema() const { return schema_; }
-  const SketchQuantizer& quantizer() const { return sketch_; }
+  /// The cut points; final once Stats().frozen.
+  const Quantizer& quantizer() const { return quantizer_; }
 
   /// Safe from any thread.
   StreamStats Stats() const;
@@ -158,13 +164,14 @@ class HoeffdingTreeBuilder {
 
   const Schema schema_;
   const HoeffdingOptions options_;
-  SketchQuantizer sketch_;
+  Quantizer quantizer_;
+  bool frozen_ = false;
   DecisionTree tree_;
   GiniScratch scratch_;
   std::vector<StreamLeaf> leaves_;
   std::vector<int> free_slots_;
   std::vector<int32_t> slot_of_node_;  ///< NodeId -> leaves_ index or -1
-  std::vector<std::pair<TupleValues, ClassLabel>> warmup_;
+  Dataset warmup_;  ///< tuples ingested before the cuts freeze
   bool initialized_ = false;
 
   struct Counters {

@@ -179,6 +179,13 @@ TEST(QuantizerTest, ExactModeCutsAtEveryAdjacentDistinctMidpoint) {
   EXPECT_FLOAT_EQ(q.cut(0, 0), 1.5f);
   EXPECT_FLOAT_EQ(q.cut(0, 1), 3.0f);
   EXPECT_FLOAT_EQ(q.cut(0, 2), 6.0f);
+
+  // An empty column has no boundary: one bin, which every value maps to.
+  ASSERT_TRUE(q.Build(Dataset(s), 256).ok());
+  EXPECT_EQ(q.num_cuts(0), 0);
+  EXPECT_EQ(q.num_bins(0), 1);
+  v[0].f = 123.0f;
+  EXPECT_EQ(q.BinOf(0, v[0]), 0);
 }
 
 TEST(QuantizerTest, BinMappingInvariantHoldsOnSkewedData) {
@@ -211,6 +218,24 @@ TEST(QuantizerTest, BinMappingInvariantHoldsOnSkewedData) {
           << "value " << value << " cut " << i;
     }
   }
+
+  // Quantile mode over a column of 97 distinct values: a cut value itself
+  // lands in the bin above the cut, its float predecessor in the bin below.
+  Dataset wide(s);
+  for (int i = 0; i < 1000; ++i) {
+    v[0].f = static_cast<float>(i % 97);
+    ASSERT_TRUE(wide.Append(v, i % 2).ok());
+  }
+  ASSERT_TRUE(q.Build(wide, 8).ok());
+  ASSERT_GE(q.num_cuts(0), 1);
+  EXPECT_EQ(q.num_bins(0), q.num_cuts(0) + 1);
+  for (int i = 0; i < q.num_cuts(0); ++i) {
+    AttrValue at_cut, below;
+    at_cut.f = q.cut(0, i);
+    below.f = std::nextafter(q.cut(0, i), -1e30f);
+    EXPECT_EQ(q.BinOf(0, at_cut), i + 1);
+    EXPECT_EQ(q.BinOf(0, below), i);
+  }
 }
 
 TEST(QuantizerTest, QuantileModeIsDeterministicAndOrdered) {
@@ -219,7 +244,10 @@ TEST(QuantizerTest, QuantileModeIsDeterministicAndOrdered) {
   ASSERT_TRUE(a.Build(data, 64).ok());
   ASSERT_TRUE(b.Build(data, 64).ok());
   ASSERT_EQ(a.num_attrs(), b.num_attrs());
+  int expect_offset = 0;  // each attribute's rows follow the previous one's
   for (int attr = 0; attr < a.num_attrs(); ++attr) {
+    EXPECT_EQ(a.offset(attr), expect_offset);
+    expect_offset += a.num_bins(attr);
     ASSERT_EQ(a.num_bins(attr), b.num_bins(attr));
     ASSERT_EQ(a.num_cuts(attr), b.num_cuts(attr));
     if (!a.categorical(attr)) {
@@ -232,6 +260,23 @@ TEST(QuantizerTest, QuantileModeIsDeterministicAndOrdered) {
       }
     }
   }
+  EXPECT_EQ(a.total_bins(), expect_offset);
+
+  // On 0..4095 with four bins the cuts sit at the quartile boundaries.
+  Schema s;
+  s.AddContinuous("u");
+  s.SetClassNames({"A", "B"});
+  Dataset uniform(s);
+  TupleValues v(1);
+  for (int i = 0; i < 4096; ++i) {
+    v[0].f = static_cast<float>(i);
+    ASSERT_TRUE(uniform.Append(v, 0).ok());
+  }
+  ASSERT_TRUE(a.Build(uniform, 4).ok());
+  ASSERT_EQ(a.num_cuts(0), 3);
+  EXPECT_EQ(a.cut(0, 0), 1023.5f);
+  EXPECT_EQ(a.cut(0, 1), 2047.5f);
+  EXPECT_EQ(a.cut(0, 2), 3071.5f);
 }
 
 TEST(QuantizerTest, CategoricalBinsAreValueCodes) {

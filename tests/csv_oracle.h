@@ -1,8 +1,10 @@
 // Reference CSV reader for parity tests: the original line-at-a-time
 // istream parser (getline, SplitString, one strtod/strtoll per field on a
-// copied token, Dataset::Append per tuple). The block-parallel loader in
-// data/csv.cc must agree with it on every input: the same OK/error verdict,
-// the same error message and the same Dataset bytes.
+// copied token, Dataset::Append per tuple), except that a bad value's
+// message carries its "line N: " prefix like every other per-line error.
+// The block-parallel loader in data/csv.cc must agree with it on every
+// input: the same OK/error verdict, the same error message and the same
+// Dataset bytes.
 
 #ifndef SMPTREE_TESTS_CSV_ORACLE_H_
 #define SMPTREE_TESTS_CSV_ORACLE_H_
@@ -111,8 +113,13 @@ inline Result<Dataset> ParseCsv(const Schema& schema, std::istream& in) {
                        schema.num_attrs() + 1));
     }
     for (int a = 0; a < schema.num_attrs(); ++a) {
-      SMPTREE_RETURN_IF_ERROR(
-          ParseValue(schema, a, TrimWhitespace(fields[a]), &values[a]));
+      const Status s =
+          ParseValue(schema, a, TrimWhitespace(fields[a]), &values[a]);
+      if (!s.ok()) {
+        return Status::Corruption(StringPrintf(
+            "line %lld: %.*s", static_cast<long long>(line_no),
+            static_cast<int>(s.message().size()), s.message().data()));
+      }
     }
     const std::string_view label_text = TrimWhitespace(fields.back());
     int label = -1;

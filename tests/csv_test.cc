@@ -175,8 +175,8 @@ TEST(CsvTest, LateBlockErrorsCarryFileLineNumbers) {
     std::string message;  // "%lld" stands for the planted line's number
   };
   const Case cases[] = {
-      {"zz,sedan,yes", "Corruption: bad continuous value 'zz' for attribute "
-                       "'age'"},
+      {"zz,sedan,yes", "Corruption: line %lld: bad continuous value 'zz' for "
+                       "attribute 'age'"},
       {"5,sedan,maybe", "Corruption: line %lld: unknown class 'maybe'"},
       {"5,sedan", "Corruption: line %lld: 2 fields, expected 3"},
   };
@@ -207,7 +207,8 @@ TEST(CsvTest, BlankAndCrlfLinesCountInLineNumbers) {
       SmallSchema(), "age,car,class\r\n\r\n5,sedan,yes\r\n  \n6,car,no\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().ToString(),
-            "Corruption: bad categorical value 'car' for attribute 'car'");
+            "Corruption: line 5: bad categorical value 'car' for attribute "
+            "'car'");
   parsed = FromCsvString(SmallSchema(),
                          "age,car,class\r\n\r\n5,sedan,yes\r\n  \n6,sedan\n");
   EXPECT_EQ(parsed.status().ToString(),

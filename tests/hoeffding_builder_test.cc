@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "binned/quantizer.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "stream/stream_source.h"
 
@@ -56,6 +59,14 @@ TEST(HoeffdingBuilderTest, InitValidatesOptions) {
   bad = HoeffdingOptions();
   bad.grace_period = 0;
   EXPECT_FALSE(HoeffdingTreeBuilder(schema, bad).Init().ok());
+  bad = HoeffdingOptions();
+  bad.max_bins = 1;
+  EXPECT_FALSE(HoeffdingTreeBuilder(schema, bad).Init().ok());
+  bad.max_bins = 257;
+  EXPECT_FALSE(HoeffdingTreeBuilder(schema, bad).Init().ok());
+  bad = HoeffdingOptions();
+  bad.reservoir_size = bad.max_bins - 1;
+  EXPECT_FALSE(HoeffdingTreeBuilder(schema, bad).Init().ok());
 
   HoeffdingTreeBuilder ok(schema, HoeffdingOptions());
   EXPECT_TRUE(ok.Init().ok());
@@ -63,6 +74,101 @@ TEST(HoeffdingBuilderTest, InitValidatesOptions) {
   HoeffdingTreeBuilder early(schema, HoeffdingOptions());
   StreamBatch batch;
   EXPECT_FALSE(early.Ingest(batch).ok());
+}
+
+/// Cut for cut equality of two quantizers.
+void ExpectSameCuts(const Quantizer& got, const Quantizer& want) {
+  ASSERT_EQ(got.num_attrs(), want.num_attrs());
+  EXPECT_EQ(got.total_bins(), want.total_bins());
+  for (int a = 0; a < want.num_attrs(); ++a) {
+    ASSERT_EQ(got.num_bins(a), want.num_bins(a)) << "attr " << a;
+    EXPECT_EQ(got.offset(a), want.offset(a)) << "attr " << a;
+    ASSERT_EQ(got.num_cuts(a), want.num_cuts(a)) << "attr " << a;
+    for (int i = 0; i < want.num_cuts(a); ++i) {
+      EXPECT_EQ(got.cut(a, i), want.cut(a, i)) << "attr " << a << " cut " << i;
+    }
+  }
+}
+
+TEST(HoeffdingBuilderTest, CutsAreTheBatchQuantizersOverTheWarmup) {
+  HoeffdingOptions options;
+  options.warmup_tuples = 1500;  // within reservoir_size: no sampling
+  HoeffdingTreeBuilder builder(SyntheticSchema(9), options);
+  ASSERT_TRUE(builder.Init().ok());
+  StreamInto(&builder, /*function=*/7, /*tuples=*/4000, /*seed=*/42);
+  ASSERT_TRUE(builder.Stats().frozen);
+
+  // The stream source replays GenerateSynthetic tuple for tuple.
+  auto warmup = GenerateSynthetic(Config(7, options.warmup_tuples, 42));
+  ASSERT_TRUE(warmup.ok());
+  Quantizer batch;
+  ASSERT_TRUE(batch.Build(*warmup, options.max_bins).ok());
+  ExpectSameCuts(builder.quantizer(), batch);
+}
+
+TEST(HoeffdingBuilderTest, SampledCutsAreDeterministicPerSeed) {
+  HoeffdingOptions options;
+  options.max_bins = 32;
+  options.reservoir_size = 300;
+  options.warmup_tuples = 3000;  // cuts come from a 300-tuple sample
+  const auto frozen_builder = [&](uint64_t seed) {
+    options.seed = seed;
+    auto builder =
+        std::make_unique<HoeffdingTreeBuilder>(SyntheticSchema(9), options);
+    EXPECT_TRUE(builder->Init().ok());
+    StreamInto(builder.get(), /*function=*/5, /*tuples=*/3500, /*seed=*/8);
+    EXPECT_TRUE(builder->Stats().frozen);
+    return builder;
+  };
+  const auto a = frozen_builder(5);
+  const auto b = frozen_builder(5);
+  const auto c = frozen_builder(6);
+  ExpectSameCuts(a->quantizer(), b->quantizer());
+
+  // The sample is the seeded shuffle's prefix of the warmup tuples.
+  auto warmup = GenerateSynthetic(Config(5, options.warmup_tuples, 8));
+  ASSERT_TRUE(warmup.ok());
+  auto shuffled = ShuffleDataset(*warmup, 5);
+  ASSERT_TRUE(shuffled.ok());
+  Quantizer sampled;
+  ASSERT_TRUE(sampled
+                  .Build(TakePrefix(*shuffled, options.reservoir_size),
+                         options.max_bins)
+                  .ok());
+  ExpectSameCuts(a->quantizer(), sampled);
+
+  bool seed_matters = false;
+  const Quantizer& q = a->quantizer();
+  for (int attr = 0; attr < q.num_attrs(); ++attr) {
+    if (q.categorical(attr)) continue;
+    EXPECT_LE(q.num_bins(attr), options.max_bins);
+    EXPECT_LE(c->quantizer().num_bins(attr), options.max_bins);
+    if (q.num_cuts(attr) != c->quantizer().num_cuts(attr)) {
+      seed_matters = true;
+      continue;
+    }
+    for (int i = 0; i < q.num_cuts(attr); ++i) {
+      if (q.cut(attr, i) != c->quantizer().cut(attr, i)) seed_matters = true;
+    }
+  }
+  EXPECT_TRUE(seed_matters);
+}
+
+TEST(HoeffdingBuilderTest, InitRejectsCategoricalOverTheBinBudget) {
+  // SyntheticSchema's "car" has 20 values; 16 bins cannot hold them. With
+  // the default warmup, Init runs long before the cuts would be built.
+  HoeffdingOptions options;
+  options.max_bins = 16;
+  HoeffdingTreeBuilder builder(SyntheticSchema(9), options);
+  const Status status = builder.Init();
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_NE(status.ToString().find("'car' has cardinality 20 > max_bins 16"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(builder.Stats().tuples, 0);
+
+  options.max_bins = 20;
+  EXPECT_TRUE(HoeffdingTreeBuilder(SyntheticSchema(9), options).Init().ok());
 }
 
 TEST(HoeffdingBuilderTest, SplitsOnSeparableStreamAndValidates) {

@@ -97,7 +97,10 @@ int Usage() {
                "         SHARD[,SHARD...] (csv or binary shards) or the\n"
                "         generator (--function N [--attrs A] [--tuples N]\n"
                "         [--seed S] [--noise P]); knobs: [--max-bins B]\n"
-               "         [--reservoir N] [--warmup N] [--grace N] [--delta D]\n"
+               "         [--warmup N (tuples buffered before cuts freeze)]\n"
+               "         [--reservoir N (most warmup tuples the cuts use)]\n"
+               "         [--sketch-seed S (picks them if warmup > reservoir)]\n"
+               "         [--grace N] [--delta D]\n"
                "         [--tau T] [--memory-budget BYTES] [--snapshot-every N]\n"
                "         [--criterion gini|entropy] [--batch N]\n"
                "         [--serve-port P (0 = ephemeral)] [--eval TEST.csv]\n"
@@ -547,7 +550,8 @@ int RunTrainStream(const Flags& flags) {
       "streamed %lld tuples in %.3fs (%.0f tuples/s)\n"
       "tree: %lld nodes, %lld splits; %lld active + %lld deactivated "
       "leaves\n"
-      "memory: %s sketch, %s leaf histograms; %lld snapshots published\n"
+      "memory: %s cut points, %s leaf histograms; %lld snapshots "
+      "published\n"
       "model written to %s\n",
       static_cast<long long>(stats.tuples), seconds,
       seconds > 0 ? static_cast<double>(stats.tuples) / seconds : 0.0,
