@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <thread>
 
 #include "util/string_util.h"
@@ -119,6 +120,25 @@ void PrintBanner(const std::string& figure, const std::string& config) {
         "core, so speedups reflect overhead only; run on a multicore host\n"
         "to reproduce the paper's speedup shapes.\n");
   }
+}
+
+double Rounded(double value, int digits) {
+  return std::strtod(Fmt("%.*f", digits, value).c_str(), nullptr);
+}
+
+int EmitArtifact(const std::string& path, const Result<std::string>& json) {
+  if (!json.ok()) {
+    std::fprintf(stderr, "artifact: %s\n", json.status().ToString().c_str());
+    return 1;
+  }
+  if (path.empty()) return 0;
+  std::ofstream out(path);
+  if (!(out << *json) || !out.flush()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("\nwrote %s\n", path.c_str());
+  return 0;
 }
 
 void PrintSpeedupFigure(const std::string& figure, const std::string& title,

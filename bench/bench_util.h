@@ -14,6 +14,7 @@
 
 #include "core/classifier.h"
 #include "data/synthetic.h"
+#include "util/status.h"
 
 namespace smptree {
 namespace bench {
@@ -66,6 +67,15 @@ void PrintSpeedupFigure(const std::string& figure, const std::string& title,
 
 /// Header banner with machine context (core count, env name, scale).
 void PrintBanner(const std::string& figure, const std::string& config);
+
+/// `value` as "%.*f" prints it: derived fields computed from rounded row
+/// values agree exactly with the rows a BENCH_*.json artifact holds.
+double Rounded(double value, int digits);
+
+/// Ends a suite bench: prints the artifact's error, or writes it to `path`
+/// (the bench's --out; nothing is written when empty). Returns the exit
+/// status -- non-zero when the artifact could not be built or written.
+int EmitArtifact(const std::string& path, const Result<std::string>& json);
 
 }  // namespace bench
 }  // namespace smptree

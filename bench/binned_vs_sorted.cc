@@ -5,16 +5,16 @@
 // small but is never allowed to hide.
 //
 //   binned_vs_sorted [--quick] [--tuples N] [--test-tuples N]
-//                    [--max-bins B] [--functions 1,5,7] [--out runs.json]
+//                    [--max-bins B] [--functions 1,5,7]
+//                    [--out BENCH_binned.json]
 //
-// Emits a paper-style table on stdout and (with --out) a JSON document with
-// "suite": "binned_vs_sorted" that tools/bench_to_json.py converts into the
-// checked-in BENCH_binned.json.
+// Emits a paper-style table on stdout and (with --out) the checked-in
+// BENCH_binned.json artifact, with its derived headline numbers.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -115,7 +115,13 @@ double NsPerRecord(double seconds, int64_t tuples) {
   return tuples > 0 ? seconds * 1e9 / static_cast<double>(tuples) : 0;
 }
 
-std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
+/// The BENCH_binned.json document: the per-function rows plus the derived
+/// headline numbers (the worst |accuracy delta|, how many functions the
+/// binned build is faster on), computed from the rounded values the rows
+/// hold. Deltas are reported as-is, never clipped. Fails on no runs.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<Run>& runs) {
+  if (runs.empty()) return Status::InvalidArgument("no runs");
   std::string out = StringPrintf(
       "{\"suite\": \"binned_vs_sorted\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
@@ -125,8 +131,22 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
       HardwareThreads(), BenchScale(), static_cast<long long>(config.tuples),
       static_cast<long long>(config.test_tuples), config.max_bins,
       config.quick ? "true" : "false");
+  double max_train_delta = 0, max_test_delta = 0;
+  int build_faster = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
+    const double speedup = Rounded(r.binned.build_seconds > 0
+                                       ? r.sorted.build_seconds /
+                                             r.binned.build_seconds
+                                       : 0,
+                                   3);
+    const double train_delta =
+        Rounded(r.binned.train_accuracy - r.sorted.train_accuracy, 6);
+    const double test_delta =
+        Rounded(r.binned.test_accuracy - r.sorted.test_accuracy, 6);
+    max_train_delta = std::max(max_train_delta, std::fabs(train_delta));
+    max_test_delta = std::max(max_test_delta, std::fabs(test_delta));
+    if (speedup > 1.0) ++build_faster;
     out += StringPrintf(
         "%s\n  {\"function\": %d, \"tuples\": %lld,\n"
         "   \"sorted_build_ns_per_record\": %.1f, "
@@ -141,22 +161,21 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
         "\"records_scanned\": %llu, \"bins_scanned\": %llu}",
         i == 0 ? "" : ",", r.function, static_cast<long long>(config.tuples),
         NsPerRecord(r.sorted.build_seconds, config.tuples),
-        NsPerRecord(r.binned.build_seconds, config.tuples),
-        r.binned.build_seconds > 0
-            ? r.sorted.build_seconds / r.binned.build_seconds
-            : 0,
+        NsPerRecord(r.binned.build_seconds, config.tuples), speedup,
         NsPerRecord(r.sorted.total_seconds, config.tuples),
         NsPerRecord(r.binned.total_seconds, config.tuples),
-        r.sorted.train_accuracy, r.binned.train_accuracy,
-        r.binned.train_accuracy - r.sorted.train_accuracy,
-        r.sorted.test_accuracy, r.binned.test_accuracy,
-        r.binned.test_accuracy - r.sorted.test_accuracy,
+        r.sorted.train_accuracy, r.binned.train_accuracy, train_delta,
+        r.sorted.test_accuracy, r.binned.test_accuracy, test_delta,
         static_cast<long long>(r.sorted.nodes),
         static_cast<long long>(r.binned.nodes),
         static_cast<unsigned long long>(r.binned.records_scanned),
         static_cast<unsigned long long>(r.binned.bins_scanned));
   }
-  out += "\n]}\n";
+  out += StringPrintf(
+      "\n],\n \"derived\": {\"max_abs_train_accuracy_delta\": %.6f, "
+      "\"max_abs_test_accuracy_delta\": %.6f, "
+      "\"functions_build_faster\": %d, \"functions_total\": %zu}}\n",
+      max_train_delta, max_test_delta, build_faster, runs.size());
   return out;
 }
 
@@ -240,20 +259,7 @@ int Main(int argc, char** argv) {
               static_cast<long long>(config.tuples), config.max_bins);
   table.Print();
 
-  if (!config.out.empty()) {
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", config.out.c_str());
-      return 1;
-    }
-    out << RunsToJson(config, runs);
-    if (!out.flush()) {
-      std::fprintf(stderr, "write failed for %s\n", config.out.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu runs)\n", config.out.c_str(), runs.size());
-  }
-  return 0;
+  return EmitArtifact(config.out, ArtifactJson(config, runs));
 }
 
 }  // namespace

@@ -6,16 +6,16 @@
 //
 //   forest_speedup [--quick] [--trees 2,8] [--threads 1,2,4]
 //                  [--inner basic,mwk] [--function 5] [--tuples N]
-//                  [--out runs.json]
+//                  [--out BENCH_forest.json]
 //
-// Emits paper-style tables on stdout and (with --out) a JSON document with
-// "suite": "forest_speedup" that tools/bench_to_json.py converts into the
-// checked-in BENCH_forest.json.
+// Emits paper-style tables on stdout and (with --out) the checked-in
+// BENCH_forest.json artifact: one series per (trees, inner, schedule), each
+// point with its speedup, plus the OOB accuracy curve. A series with no
+// threads=1 baseline exits non-zero.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -140,11 +140,6 @@ std::vector<Run> SweepOob(const Dataset& data, const Config& config) {
     }
     Run run;
     run.trees = trees;
-    run.threads = 1;
-    run.inner = AlgorithmName(Algorithm::kSerial);
-    run.schedule = "oob";
-    run.concurrent_trees = 1;
-    run.inner_threads = 1;
     run.train_seconds = result->stats.total_seconds;
     run.oob_accuracy = result->stats.oob_accuracy;
     runs.push_back(run);
@@ -158,23 +153,57 @@ std::vector<Run> SweepOob(const Dataset& data, const Config& config) {
   return runs;
 }
 
-std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
+/// The BENCH_forest.json document: the timed sweep as one series per
+/// (trees, inner, schedule) whose points carry the speedup over the series'
+/// threads=1 point (from the rounded times the points hold), plus the OOB
+/// accuracy curve. Fails on no timed runs, a series with no threads=1
+/// baseline, or a point with no train time.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<std::vector<Run>>& series,
+                                 const std::vector<Run>& oob) {
+  if (series.empty()) return Status::InvalidArgument("no runs");
   std::string out = StringPrintf(
       "{\"suite\": \"forest_speedup\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
       "\"function\": %d, \"tuples\": %lld, \"attrs\": 9, \"quick\": %s},\n"
-      " \"runs\": [",
+      " \"series\": [",
       HardwareThreads(), BenchScale(), config.function,
       static_cast<long long>(config.tuples), config.quick ? "true" : "false");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
+  for (size_t s = 0; s < series.size(); ++s) {
+    const Run& base = series[s].front();
+    const double base_train = Rounded(base.train_seconds, 6);
+    if (base.threads != 1 || base_train <= 0) {
+      return Status::InvalidArgument(
+          StringPrintf("T=%d/%s/%s: no threads=1 baseline", base.trees,
+                       base.inner, base.schedule));
+    }
     out += StringPrintf(
-        "%s\n  {\"trees\": %d, \"threads\": %d, \"inner\": \"%s\", "
-        "\"schedule\": \"%s\", \"concurrent_trees\": %d, "
-        "\"inner_threads\": %d, \"train_seconds\": %.6f, "
-        "\"oob_accuracy\": %.6f}",
-        i == 0 ? "" : ",", r.trees, r.threads, r.inner, r.schedule,
-        r.concurrent_trees, r.inner_threads, r.train_seconds, r.oob_accuracy);
+        "%s\n  {\"trees\": %d, \"inner\": \"%s\", \"schedule\": \"%s\", "
+        "\"points\": [",
+        s == 0 ? "" : ",", base.trees, base.inner, base.schedule);
+    for (size_t i = 0; i < series[s].size(); ++i) {
+      const Run& r = series[s][i];
+      const double train = Rounded(r.train_seconds, 6);
+      if (train <= 0) {
+        return Status::InvalidArgument(
+            StringPrintf("T=%d/%s/%s P=%d: no train time", r.trees, r.inner,
+                         r.schedule, r.threads));
+      }
+      out += StringPrintf(
+          "%s\n   {\"threads\": %d, \"split\": \"%dx%d\", "
+          "\"train_seconds\": %.6f, \"speedup\": %.3f}",
+          i == 0 ? "" : ",", r.threads, r.concurrent_trees, r.inner_threads,
+          train, base_train / train);
+    }
+    out += "]}";
+  }
+  out += "\n],\n \"oob_curve\": [";
+  for (size_t i = 0; i < oob.size(); ++i) {
+    out += StringPrintf(
+        "%s\n  {\"trees\": %d, \"oob_accuracy\": %.4f, "
+        "\"train_seconds\": %.6f}",
+        i == 0 ? "" : ",", oob[i].trees, oob[i].oob_accuracy,
+        oob[i].train_seconds);
   }
   out += "\n]}\n";
   return out;
@@ -218,6 +247,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
+  std::sort(config.threads.begin(), config.threads.end());
   if (config.quick) config.tuples = std::min<int64_t>(config.tuples, 4000);
   const int reps = config.quick ? 1 : 2;
   const int64_t tuples = ScaledTuples(config.tuples);
@@ -238,19 +268,18 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<Run> runs;
+  std::vector<std::vector<Run>> series;
   for (Algorithm inner : config.inner) {
     for (ForestSchedule schedule : kSchedules) {
       TablePrinter table(
           {"T", "P", "split (CxI)", "train s", "speedup"});
       for (int trees : config.trees) {
         double base = 0;
+        series.emplace_back();
         for (int threads : config.threads) {
           const Run run =
               Measure(data, trees, threads, inner, schedule, reps);
-          if (threads == config.threads.front() && threads == 1) {
-            base = run.train_seconds;
-          }
+          if (threads == 1) base = run.train_seconds;
           const double speedup = base > 0 && run.train_seconds > 0
                                      ? base / run.train_seconds
                                      : 0;
@@ -258,7 +287,7 @@ int Main(int argc, char** argv) {
                         Fmt("%dx%d", run.concurrent_trees, run.inner_threads),
                         Fmt("%.4f", run.train_seconds),
                         base > 0 ? Fmt("%.2f", speedup) : "n/a"});
-          runs.push_back(run);
+          series.back().push_back(run);
         }
       }
       std::printf("\nF%d, %lld tuples, inner %s, schedule %s:\n",
@@ -268,23 +297,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<Run> oob_runs = SweepOob(data, config);
-  runs.insert(runs.end(), oob_runs.begin(), oob_runs.end());
-
-  if (!config.out.empty()) {
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", config.out.c_str());
-      return 1;
-    }
-    out << RunsToJson(config, runs);
-    if (!out.flush()) {
-      std::fprintf(stderr, "write failed for %s\n", config.out.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu runs)\n", config.out.c_str(), runs.size());
-  }
-  return 0;
+  return EmitArtifact(config.out,
+                      ArtifactJson(config, series, SweepOob(data, config)));
 }
 
 }  // namespace

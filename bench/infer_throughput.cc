@@ -9,17 +9,15 @@
 // scoring a different tree.
 //
 //   infer_throughput [--quick] [--tuples N] [--train-tuples N] [--trees T]
-//                    [--functions 1,5,7] [--out runs.json]
+//                    [--functions 1,5,7] [--out BENCH_infer.json]
 //
-// Emits a paper-style table on stdout and (with --out) a JSON document with
-// "suite": "infer_throughput" that tools/bench_to_json.py converts into the
-// checked-in BENCH_infer.json.
+// Emits a paper-style table on stdout and (with --out) the checked-in
+// BENCH_infer.json artifact, with its derived 2x tallies.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -210,9 +208,15 @@ double Speedup(double pointer_ns, double flat_ns) {
   return flat_ns > 0 ? pointer_ns / flat_ns : 0;
 }
 
-std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
-                       const std::vector<SweepRow>& sweep, int sweep_function,
-                       int64_t batch_size) {
+/// The BENCH_infer.json document: the per-function rows, the batch sweep,
+/// and the derived tallies (functions clearing 2x on the tree, the forest,
+/// either; min/max speedups). Speedups come from the rounded ns columns, so
+/// the rows are internally consistent. Fails on no runs or a zero flat time.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<Run>& runs,
+                                 const std::vector<SweepRow>& sweep,
+                                 int sweep_function, int64_t batch_size) {
+  if (runs.empty()) return Status::InvalidArgument("no runs");
   std::string out = StringPrintf(
       "{\"suite\": \"infer_throughput\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
@@ -222,8 +226,27 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
       HardwareThreads(), BenchScale(), static_cast<long long>(config.tuples),
       static_cast<long long>(config.train_tuples), config.forest_trees,
       static_cast<long long>(batch_size), config.quick ? "true" : "false");
+  int tree_ge2 = 0, forest_ge2 = 0, either_ge2 = 0;
+  double min_tree = 0, max_tree = 0, min_forest = 0, max_forest = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
+    const double tree_ptr = Rounded(r.tree_pointer_ns, 2);
+    const double tree_flat = Rounded(r.tree_flat_ns, 2);
+    const double forest_ptr = Rounded(r.forest_pointer_ns, 2);
+    const double forest_flat = Rounded(r.forest_flat_ns, 2);
+    if (tree_flat <= 0 || forest_flat <= 0) {
+      return Status::InvalidArgument(
+          StringPrintf("F%d: zero flat time", r.function));
+    }
+    const double tree = Rounded(tree_ptr / tree_flat, 3);
+    const double forest = Rounded(forest_ptr / forest_flat, 3);
+    tree_ge2 += tree >= 2.0;
+    forest_ge2 += forest >= 2.0;
+    either_ge2 += tree >= 2.0 || forest >= 2.0;
+    min_tree = i == 0 ? tree : std::min(min_tree, tree);
+    max_tree = i == 0 ? tree : std::max(max_tree, tree);
+    min_forest = i == 0 ? forest : std::min(min_forest, forest);
+    max_forest = i == 0 ? forest : std::max(max_forest, forest);
     out += StringPrintf(
         "%s\n  {\"function\": %d, \"tuples\": %lld, \"tree_nodes\": %lld, "
         "\"forest_trees\": %d,\n"
@@ -232,10 +255,8 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         "   \"forest_pointer_ns_per_tuple\": %.2f, "
         "\"forest_flat_ns_per_tuple\": %.2f, \"forest_speedup\": %.3f}",
         i == 0 ? "" : ",", r.function, static_cast<long long>(config.tuples),
-        static_cast<long long>(r.tree_nodes), config.forest_trees,
-        r.tree_pointer_ns, r.tree_flat_ns,
-        Speedup(r.tree_pointer_ns, r.tree_flat_ns), r.forest_pointer_ns,
-        r.forest_flat_ns, Speedup(r.forest_pointer_ns, r.forest_flat_ns));
+        static_cast<long long>(r.tree_nodes), config.forest_trees, tree_ptr,
+        tree_flat, tree, forest_ptr, forest_flat, forest);
   }
   out += StringPrintf("\n],\n \"sweep_function\": %d,\n \"batch_sweep\": [",
                       sweep_function);
@@ -249,7 +270,14 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         i == 0 ? "" : ",", static_cast<long long>(s.batch), s.tree_pointer_ns,
         s.tree_flat_ns, s.forest_pointer_ns, s.forest_flat_ns);
   }
-  out += "\n]}\n";
+  out += StringPrintf(
+      "\n],\n \"derived\": {\"tree_speedup_ge2_count\": %d, "
+      "\"forest_speedup_ge2_count\": %d, \"either_speedup_ge2_count\": %d, "
+      "\"functions_total\": %zu, \"min_tree_speedup\": %.3f, "
+      "\"max_tree_speedup\": %.3f, \"min_forest_speedup\": %.3f, "
+      "\"max_forest_speedup\": %.3f}}\n",
+      tree_ge2, forest_ge2, either_ge2, runs.size(), min_tree, max_tree,
+      min_forest, max_forest);
   return out;
 }
 
@@ -439,21 +467,8 @@ int Main(int argc, char** argv) {
   std::printf("\nBatch-size sweep on F%d (ns/tuple):\n", sweep_function);
   sweep_table.Print();
 
-  if (!config.out.empty()) {
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", config.out.c_str());
-      return 1;
-    }
-    out << RunsToJson(config, runs, sweep, sweep_function, kServeBatch);
-    if (!out.flush()) {
-      std::fprintf(stderr, "write failed for %s\n", config.out.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu runs, %zu sweep rows)\n", config.out.c_str(),
-                runs.size(), sweep.size());
-  }
-  return 0;
+  return EmitArtifact(config.out, ArtifactJson(config, runs, sweep,
+                                                sweep_function, kServeBatch));
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Split-evaluation kernel micro benchmarks: the E-phase scan (AoS reference
 // vs SoA kernel, 2-class and 8-class), categorical tabulation, subset
 // histogram extraction, and S-phase split throughput (direct vs bounded
-// buffered streaming). These are the numbers BENCH_core.json is built from
-// (tools/bench_to_json.py converts the google-benchmark JSON output).
+// buffered streaming). These are the numbers BENCH_core.json is built from.
+// google-benchmark writes its own JSON, so unlike the suite benches (which
+// write their BENCH_*.json via --out) this one takes a conversion step:
 //
 // Usage:
 //   micro_kernels                          # full sizes
 //   micro_kernels --quick                  # CI smoke: small sizes, short runs
 //   micro_kernels --benchmark_out=gb.json --benchmark_out_format=json
+//   python3 tools/bench_to_json.py gb.json -o BENCH_core.json
 //
 // Benchmark names are part of the BENCH_core.json contract: the converter
 // pairs "<family>/aos_*" with "<family>/soa_*" (and SplitPhase/direct with

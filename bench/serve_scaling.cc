@@ -7,7 +7,7 @@
 // threads, where the threaded front end would strand all but 4 clients.
 //
 //   serve_scaling [--quick] [--rate R] [--requests N] [--timeout-ms T]
-//                 [--out runs.json]
+//                 [--out BENCH_serve.json]
 //
 // Open-loop discipline (mirrors tools/smptree_loadgen): request i on a
 // connection is *scheduled* at start + i/rate regardless of server
@@ -15,16 +15,16 @@
 // delay the server causes is charged to the server (no coordinated
 // omission). Requests whose turn comes more than --timeout-ms late are
 // counted `dropped`, not sent; sent requests slower than --timeout-ms
-// count in `timeouts`. Feed --out to tools/bench_to_json.py to produce
-// the checked-in BENCH_serve.json.
+// count in `timeouts`. --out writes the checked-in BENCH_serve.json
+// artifact, with its derived clean-connection claim.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -170,6 +170,53 @@ Point RunPoint(InferenceService* service, const Config& config,
   return point;
 }
 
+/// The BENCH_serve.json document: the sweep rows plus the derived claim --
+/// the largest connection count the epoll front end served with zero
+/// errors and zero drops, and its ratio to the dispatch-thread count.
+/// Fails on no rows.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<Point>& points) {
+  if (points.empty()) return Status::InvalidArgument("no runs");
+  std::string json = StringPrintf(
+      "{\"suite\": \"serve_scaling\", \"schema_version\": 1,\n"
+      " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
+      "\"dispatch_threads\": %d, \"batch\": %lld, \"rate\": %.1f, "
+      "\"requests\": %lld, \"timeout_ms\": %lld, \"quick\": %s},\n"
+      " \"runs\": [",
+      HardwareThreads(), BenchScale(), kDispatchThreads,
+      static_cast<long long>(kBatchTuples), config.rate,
+      static_cast<long long>(config.requests),
+      static_cast<long long>(config.timeout_ms),
+      config.quick ? "true" : "false");
+  int max_clean = 0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point& p = points[i];
+    if (std::string_view(p.front_end) == "epoll" && p.errors == 0 &&
+        p.dropped == 0) {
+      max_clean = std::max(max_clean, p.connections);
+    }
+    json += StringPrintf(
+        "%s\n  {\"front_end\": \"%s\", \"connections\": %d, "
+        "\"dispatch_threads\": %d, \"offered_rps\": %.1f, "
+        "\"batch\": %lld, \"sent\": %llu, \"dropped\": %llu, "
+        "\"timeouts\": %llu, \"errors\": %llu, \"seconds\": %s, "
+        "\"tuples_per_second\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
+        i == 0 ? "" : ",", p.front_end, p.connections, kDispatchThreads,
+        p.offered_rps, static_cast<long long>(kBatchTuples),
+        (unsigned long long)p.sent, (unsigned long long)p.dropped,
+        (unsigned long long)p.timeouts, (unsigned long long)p.errors,
+        JsonNumber(p.seconds).c_str(), p.tuples_per_second, p.p50_ms,
+        p.p99_ms);
+  }
+  json += StringPrintf(
+      "\n],\n \"derived\": {\"dispatch_threads\": %d, "
+      "\"epoll_max_clean_connections\": %d, "
+      "\"epoll_connections_per_thread\": %.2f}}\n",
+      kDispatchThreads, max_clean,
+      static_cast<double>(max_clean) / kDispatchThreads);
+  return json;
+}
+
 int Main(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {
@@ -285,49 +332,12 @@ int Main(int argc, char** argv) {
       "offered load, not connection count. The threaded rows cap at\n"
       "num_threads live connections by construction.\n");
 
-  if (!config.out.empty()) {
-    std::string json = StringPrintf(
-        "{\"suite\": \"serve_scaling\", \"schema_version\": 1,\n"
-        " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
-        "\"dispatch_threads\": %d, \"batch\": %lld, \"rate\": %.1f, "
-        "\"requests\": %lld, \"timeout_ms\": %lld, \"quick\": %s},\n"
-        " \"runs\": [",
-        HardwareThreads(), BenchScale(), kDispatchThreads,
-        static_cast<long long>(kBatchTuples), config.rate,
-        static_cast<long long>(config.requests),
-        static_cast<long long>(config.timeout_ms),
-        config.quick ? "true" : "false");
-    for (size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
-      json += StringPrintf(
-          "%s\n  {\"front_end\": \"%s\", \"connections\": %d, "
-          "\"dispatch_threads\": %d, \"offered_rps\": %.1f, "
-          "\"batch\": %lld, \"sent\": %llu, \"dropped\": %llu, "
-          "\"timeouts\": %llu, \"errors\": %llu, \"seconds\": %s, "
-          "\"tuples_per_second\": %s, \"p50_ms\": %s, \"p99_ms\": %s}",
-          i == 0 ? "" : ",", p.front_end, p.connections, kDispatchThreads,
-          p.offered_rps, static_cast<long long>(kBatchTuples),
-          (unsigned long long)p.sent, (unsigned long long)p.dropped,
-          (unsigned long long)p.timeouts, (unsigned long long)p.errors,
-          JsonNumber(p.seconds).c_str(),
-          JsonNumber(p.tuples_per_second).c_str(),
-          JsonNumber(p.p50_ms).c_str(), JsonNumber(p.p99_ms).c_str());
-    }
-    json += "\n]}\n";
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", config.out.c_str());
-      return 1;
-    }
-    out << json;
-    std::printf("wrote %s\n", config.out.c_str());
-  }
-
+  const int artifact = EmitArtifact(config.out, ArtifactJson(config, points));
   // Exit status reflects correctness, not capacity: errors mean broken
   // serving; drops/timeouts are measurement outcomes.
   uint64_t errors = 0;
   for (const Point& p : points) errors += p.errors;
-  return errors == 0 ? 0 : 1;
+  return errors == 0 ? artifact : 1;
 }
 
 }  // namespace

@@ -4,17 +4,19 @@
 // version of the paper's Figures 8-11 evidence, now machine-readable.
 //
 //   speedup_builders [--quick] [--threads 1,2,4] [--functions 5,7]
-//                    [--tuples N] [--out runs.json] [--overhead]
+//                    [--tuples N] [--out BENCH_parallel.json] [--overhead]
 //
-// Emits paper-style tables on stdout and (with --out) a JSON document with
-// "suite": "parallel_builders" that tools/bench_to_json.py converts into the
-// checked-in BENCH_parallel.json. --overhead additionally measures the cost
-// of running one configuration with a TraceRecorder attached vs without
-// (the tracing-on price; tracing *off* is one thread_local load per span).
+// Emits paper-style tables on stdout and (with --out) the checked-in
+// BENCH_parallel.json artifact: runs grouped into one series per
+// (function, algorithm), each point with its speedup and wait share. A
+// series with no threads=1 baseline exits non-zero. --overhead
+// additionally measures the cost of running one configuration with a
+// TraceRecorder attached vs without (the tracing-on price; tracing *off* is
+// one thread_local load per span).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -108,33 +110,58 @@ void MeasureOverhead(const Dataset& data, int reps) {
               untraced > 0 ? 100.0 * (traced - untraced) / untraced : 0.0);
 }
 
-std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
+/// The BENCH_parallel.json document: one series per (function, algorithm)
+/// whose points carry the build-time speedup over the series' threads=1
+/// point and the wait share (wait_seconds / (threads x build_seconds)),
+/// both from the rounded times the points hold. Fails on no runs, a series
+/// with no threads=1 baseline, or a point with no build time.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<std::vector<Run>>& series) {
+  if (series.empty()) return Status::InvalidArgument("no runs");
   std::string out = StringPrintf(
       "{\"suite\": \"parallel_builders\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
       "\"tuples\": %lld, \"attrs\": 9, \"env\": \"mem\", \"window\": 4, "
-      "\"quick\": %s},\n \"runs\": [",
+      "\"quick\": %s},\n \"series\": [",
       HardwareThreads(), BenchScale(), static_cast<long long>(config.tuples),
       config.quick ? "true" : "false");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const Run& r = runs[i];
+  for (size_t s = 0; s < series.size(); ++s) {
+    const Run& base = series[s].front();
+    const double base_build = Rounded(base.build_seconds, 6);
+    if (base.threads != 1 || base_build <= 0) {
+      return Status::InvalidArgument(StringPrintf(
+          "F%d/%s: no threads=1 baseline", base.function, base.algorithm));
+    }
     out += StringPrintf(
-        "%s\n  {\"function\": %d, \"algorithm\": \"%s\", \"threads\": %d, "
-        "\"build_seconds\": %.6f, \"total_seconds\": %.6f, "
-        "\"wait_seconds\": %.6f, \"e_seconds\": %.6f, \"w_seconds\": %.6f, "
-        "\"s_seconds\": %.6f, \"barrier_waits\": %llu, "
-        "\"condvar_waits\": %llu, \"records_scanned\": %llu, "
-        "\"records_split\": %llu}",
-        i == 0 ? "" : ",", r.function, r.algorithm, r.threads,
-        r.build_seconds, r.total_seconds,
-        static_cast<double>(r.stats.wait_nanos) / 1e9,
-        static_cast<double>(r.stats.e_nanos) / 1e9,
-        static_cast<double>(r.stats.w_nanos) / 1e9,
-        static_cast<double>(r.stats.s_nanos) / 1e9,
-        static_cast<unsigned long long>(r.stats.barrier_waits),
-        static_cast<unsigned long long>(r.stats.condvar_waits),
-        static_cast<unsigned long long>(r.stats.records_scanned),
-        static_cast<unsigned long long>(r.stats.records_split));
+        "%s\n  {\"function\": %d, \"algorithm\": \"%s\", "
+        "\"records_scanned\": %llu, \"records_split\": %llu, \"points\": [",
+        s == 0 ? "" : ",", base.function, base.algorithm,
+        static_cast<unsigned long long>(base.stats.records_scanned),
+        static_cast<unsigned long long>(base.stats.records_split));
+    for (size_t i = 0; i < series[s].size(); ++i) {
+      const Run& r = series[s][i];
+      const double build = Rounded(r.build_seconds, 6);
+      const double wait =
+          Rounded(static_cast<double>(r.stats.wait_nanos) / 1e9, 6);
+      if (build <= 0) {
+        return Status::InvalidArgument(StringPrintf(
+            "F%d/%s P=%d: no build time", r.function, r.algorithm, r.threads));
+      }
+      out += StringPrintf(
+          "%s\n   {\"threads\": %d, \"build_seconds\": %.6f, "
+          "\"speedup\": %.3f, \"wait_share\": %.4f, "
+          "\"total_seconds\": %.6f, \"wait_seconds\": %.6f, "
+          "\"e_seconds\": %.6f, \"w_seconds\": %.6f, \"s_seconds\": %.6f, "
+          "\"barrier_waits\": %llu, \"condvar_waits\": %llu}",
+          i == 0 ? "" : ",", r.threads, build, base_build / build,
+          wait / (r.threads * build), r.total_seconds, wait,
+          static_cast<double>(r.stats.e_nanos) / 1e9,
+          static_cast<double>(r.stats.w_nanos) / 1e9,
+          static_cast<double>(r.stats.s_nanos) / 1e9,
+          static_cast<unsigned long long>(r.stats.barrier_waits),
+          static_cast<unsigned long long>(r.stats.condvar_waits));
+    }
+    out += "]}";
   }
   out += "\n]}\n";
   return out;
@@ -173,6 +200,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
+  std::sort(config.threads.begin(), config.threads.end());
   if (config.quick) config.tuples = std::min<int64_t>(config.tuples, 8000);
   const int reps = config.quick ? 1 : 2;
   const int64_t tuples = ScaledTuples(config.tuples);
@@ -180,7 +208,7 @@ int Main(int argc, char** argv) {
 
   PrintBanner("parallel", "builder speedups (threads x algorithm, mem env)");
 
-  std::vector<Run> runs;
+  std::vector<std::vector<Run>> series;
   for (int function : config.functions) {
     const Dataset data = MakeDataset(function, 9, tuples);
     // One warmup build to fault in the dataset before any timed run.
@@ -190,11 +218,10 @@ int Main(int argc, char** argv) {
                         "E s", "W s", "S s"});
     for (Algorithm algorithm : kAlgorithms) {
       double base = 0;
+      series.emplace_back();
       for (int threads : config.threads) {
         const Run run = Measure(data, function, algorithm, threads, reps);
-        if (threads == config.threads.front() && threads == 1) {
-          base = run.build_seconds;
-        }
+        if (threads == 1) base = run.build_seconds;
         const double speedup =
             base > 0 && run.build_seconds > 0 ? base / run.build_seconds : 0;
         table.AddRow({run.algorithm, Fmt("%d", threads),
@@ -205,7 +232,7 @@ int Main(int argc, char** argv) {
                       Fmt("%.4f", static_cast<double>(run.stats.w_nanos) / 1e9),
                       Fmt("%.4f",
                           static_cast<double>(run.stats.s_nanos) / 1e9)});
-        runs.push_back(run);
+        series.back().push_back(run);
       }
     }
     std::printf("\nF%d, %lld tuples:\n", function,
@@ -218,20 +245,7 @@ int Main(int argc, char** argv) {
     MeasureOverhead(data, reps);
   }
 
-  if (!config.out.empty()) {
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", config.out.c_str());
-      return 1;
-    }
-    out << RunsToJson(config, runs);
-    if (!out.flush()) {
-      std::fprintf(stderr, "write failed for %s\n", config.out.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu runs)\n", config.out.c_str(), runs.size());
-  }
-  return 0;
+  return EmitArtifact(config.out, ArtifactJson(config, series));
 }
 
 }  // namespace

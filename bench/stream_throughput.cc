@@ -8,17 +8,16 @@
 // leaf histograms), and process peak RSS.
 //
 //   stream_throughput [--quick] [--tuples N] [--test-tuples N]
-//                     [--max-bins B] [--functions 1,5,7] [--out runs.json]
+//                     [--max-bins B] [--functions 1,5,7]
+//                     [--out BENCH_stream.json]
 //
-// Emits a paper-style table on stdout and (with --out) a JSON document with
-// "suite": "stream_throughput" that tools/bench_to_json.py converts into the
-// checked-in BENCH_stream.json.
+// Emits a paper-style table on stdout and (with --out) the checked-in
+// BENCH_stream.json artifact, with its derived headline numbers.
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -174,8 +173,15 @@ void RunBatch(const Config& config, int function, const Dataset& test,
   run->batch_nodes = result->tree->num_nodes();
 }
 
-std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
-                       uint64_t stream_only_rss_kb) {
+/// The BENCH_stream.json document: the per-function rows (accuracy curves
+/// intact) plus the derived headline -- functions within 2% held-out
+/// accuracy of batch, the worst delta, the slowest ingest rate, and the
+/// largest bounded builder state -- computed from the rounded values the
+/// rows hold. Deltas are reported as-is, never clipped. Fails on no runs.
+Result<std::string> ArtifactJson(const Config& config,
+                                 const std::vector<Run>& runs,
+                                 uint64_t stream_only_rss_kb) {
+  if (runs.empty()) return Status::InvalidArgument("no runs");
   std::string out = StringPrintf(
       "{\"suite\": \"stream_throughput\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
@@ -188,6 +194,9 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
       config.quick ? "true" : "false",
       static_cast<unsigned long long>(stream_only_rss_kb),
       static_cast<unsigned long long>(PeakRssKb()));
+  int within = 0;
+  double worst_delta = 0, min_tuples_per_second = 0;
+  uint64_t max_state_bytes = 0;
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
     std::string curve;
@@ -197,10 +206,19 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
           static_cast<long long>(r.checkpoints[c].tuples),
           r.checkpoints[c].accuracy);
     }
-    const double tuples_per_second =
+    const double tuples_per_second = Rounded(
         r.ingest_seconds > 0
             ? static_cast<double>(config.tuples) / r.ingest_seconds
-            : 0;
+            : 0,
+        0);
+    const double delta = Rounded(r.stream_accuracy - r.batch_accuracy, 6);
+    const bool within_2pct = r.stream_accuracy >= r.batch_accuracy - 0.02;
+    within += within_2pct;
+    worst_delta = i == 0 ? delta : std::min(worst_delta, delta);
+    min_tuples_per_second =
+        i == 0 ? tuples_per_second
+               : std::min(min_tuples_per_second, tuples_per_second);
+    max_state_bytes = std::max(max_state_bytes, r.stream_state_bytes);
     out += StringPrintf(
         "%s\n  {\"function\": %d, \"tuples\": %lld,\n"
         "   \"stream_tuples_per_second\": %.0f, "
@@ -216,9 +234,8 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         config.tuples > 0
             ? r.ingest_seconds * 1e9 / static_cast<double>(config.tuples)
             : 0,
-        r.stream_accuracy, r.batch_accuracy,
-        r.stream_accuracy - r.batch_accuracy,
-        r.stream_accuracy >= r.batch_accuracy - 0.02 ? "true" : "false",
+        r.stream_accuracy, r.batch_accuracy, delta,
+        within_2pct ? "true" : "false",
         static_cast<long long>(r.stream_nodes),
         static_cast<long long>(r.batch_nodes),
         static_cast<long long>(r.splits),
@@ -226,7 +243,15 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         static_cast<unsigned long long>(r.stream_state_bytes),
         curve.c_str());
   }
-  out += "\n]}\n";
+  out += StringPrintf(
+      "\n],\n \"derived\": {\"functions_within_2pct\": %d, "
+      "\"functions_total\": %zu, \"worst_accuracy_delta\": %.6f, "
+      "\"min_stream_tuples_per_second\": %.0f, "
+      "\"max_stream_state_bytes\": %llu, "
+      "\"peak_rss_stream_only_kb\": %llu}}\n",
+      within, runs.size(), worst_delta, min_tuples_per_second,
+      static_cast<unsigned long long>(max_state_bytes),
+      static_cast<unsigned long long>(stream_only_rss_kb));
   return out;
 }
 
@@ -318,20 +343,8 @@ int Main(int argc, char** argv) {
               static_cast<unsigned long long>(PeakRssKb()),
               static_cast<unsigned long long>(stream_only_rss_kb));
 
-  if (!config.out.empty()) {
-    std::ofstream out(config.out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", config.out.c_str());
-      return 1;
-    }
-    out << RunsToJson(config, runs, stream_only_rss_kb);
-    if (!out.flush()) {
-      std::fprintf(stderr, "write failed for %s\n", config.out.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s (%zu runs)\n", config.out.c_str(), runs.size());
-  }
-  return 0;
+  return EmitArtifact(config.out,
+                      ArtifactJson(config, runs, stream_only_rss_kb));
 }
 
 }  // namespace

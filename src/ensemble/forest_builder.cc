@@ -24,7 +24,7 @@ uint64_t MemberSeed(uint64_t seed, int member) {
 }
 
 /// Folds the members' BuildStats into one record the existing tooling
-/// (--stats-out, /statz, bench_to_json) consumes unchanged: counters and
+/// (--stats-out, /statz) consumes unchanged: counters and
 /// compute-time sums, frontier shapes merged by depth, wall time from the
 /// forest clock (members overlap, so summing member walls would lie).
 BuildStats FoldBuildStats(const std::vector<TrainStats>& members,

@@ -118,7 +118,7 @@ struct ForestTrainStats {
   std::vector<TrainStats> trees;
   /// Member BuildStats folded into one record (algorithm
   /// "FOREST(<inner>)", counters summed, per-level frontiers merged by
-  /// depth) so --stats-out / /statz / bench_to_json work unchanged.
+  /// depth) so --stats-out and /statz work unchanged.
   BuildStats build_stats;
 };
 

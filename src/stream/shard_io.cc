@@ -65,9 +65,22 @@ Result<Dataset> ReadBinaryShard(const Schema& schema,
         "%s has %d attrs x %d classes, schema expects %d x %d", path.c_str(),
         num_attrs, num_classes, schema.num_attrs(), schema.num_classes()));
   }
-  if (num_tuples < 0) {
-    return Status::Corruption(
-        StringPrintf("%s has negative tuple count", path.c_str()));
+  // The payload must fit in the bytes after the header: a lying count would
+  // otherwise size the column buffers before any read could fail.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff payload_bytes = in.tellg() - header_end;
+  in.seekg(header_end);
+  const uint64_t tuple_bytes =
+      static_cast<uint64_t>(num_attrs) * sizeof(AttrValue) +
+      sizeof(ClassLabel);
+  if (num_tuples < 0 || !in ||
+      static_cast<uint64_t>(num_tuples) >
+          static_cast<uint64_t>(payload_bytes) / tuple_bytes) {
+    return Status::Corruption(StringPrintf(
+        "%s claims %lld tuples but holds %lld payload bytes", path.c_str(),
+        static_cast<long long>(num_tuples),
+        static_cast<long long>(payload_bytes)));
   }
 
   std::vector<std::vector<AttrValue>> columns(
@@ -88,15 +101,11 @@ Result<Dataset> ReadBinaryShard(const Schema& schema,
   }
 
   Dataset data(schema);
-  data.Reserve(num_tuples);
-  TupleValues values(static_cast<size_t>(num_attrs));
-  for (int64_t t = 0; t < num_tuples; ++t) {
-    for (int a = 0; a < num_attrs; ++a) {
-      values[static_cast<size_t>(a)] =
-          columns[static_cast<size_t>(a)][static_cast<size_t>(t)];
-    }
-    SMPTREE_RETURN_IF_ERROR(
-        data.Append(values, labels[static_cast<size_t>(t)]));
+  Status s = data.AppendColumns(columns, labels);
+  if (s.ok()) s = data.Validate();
+  if (!s.ok()) {
+    return Status::Corruption(StringPrintf(
+        "%s: %s", path.c_str(), std::string(s.message()).c_str()));
   }
   return data;
 }

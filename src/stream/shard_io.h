@@ -23,8 +23,8 @@ namespace smptree {
 Status WriteBinaryShard(const Dataset& data, const std::string& path);
 
 /// Reads a shard written by WriteBinaryShard. The header's attribute and
-/// class counts are validated against `schema`; categorical codes and labels
-/// are range-checked by Dataset::Append.
+/// class counts are validated against `schema`, the tuple count against the
+/// file size, and categorical codes and labels by Dataset::Validate.
 Result<Dataset> ReadBinaryShard(const Schema& schema, const std::string& path);
 
 }  // namespace smptree

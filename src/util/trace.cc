@@ -6,10 +6,6 @@
 
 namespace smptree {
 
-namespace trace_internal {
-thread_local ThreadBuffer* t_buffer = nullptr;
-}  // namespace trace_internal
-
 trace_internal::ThreadBuffer* TraceRecorder::AttachThread(int tid) {
   auto buffer = std::make_unique<trace_internal::ThreadBuffer>();
   buffer->tid = tid;

@@ -50,8 +50,11 @@ struct ThreadBuffer {
 };
 
 /// Current thread's buffer; null when the thread is not bound to a recorder
-/// (the common case -- every TraceSpan checks this first).
-extern thread_local ThreadBuffer* t_buffer;
+/// (the common case -- every TraceSpan checks this first). Defined inline
+/// with a constant initializer so every reader loads the slot directly
+/// instead of through a TLS wrapper call, which GCC's UBSan flags as a load
+/// through a null pointer.
+inline constinit thread_local ThreadBuffer* t_buffer = nullptr;
 
 }  // namespace trace_internal
 

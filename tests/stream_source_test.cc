@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/csv.h"
@@ -108,6 +110,50 @@ TEST(BinaryShardTest, RejectsWrongSchemaAndMissingFile) {
   EXPECT_FALSE(
       ReadBinaryShard(data->schema(), testing::TempDir() + "/nope.shard")
           .ok());
+}
+
+/// Expects reading `path` to fail with a message that names the file.
+void ExpectShardRejected(const Schema& schema, const std::string& path) {
+  auto loaded = ReadBinaryShard(schema, path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find(path), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(BinaryShardTest, RejectsTupleCountLargerThanFile) {
+  auto data = GenerateSynthetic(SmallConfig(3));
+  ASSERT_TRUE(data.ok());
+  const std::string path = testing::TempDir() + "/lie.shard";
+  ASSERT_TRUE(WriteBinaryShard(*data, path).ok());
+  // Overwrite the header's int64 tuple count (after the 8-byte magic and
+  // two int32 counts) with 2^40, far past the bytes the file holds.
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  const int64_t lie = int64_t{1} << 40;
+  f.seekp(16);
+  f.write(reinterpret_cast<const char*>(&lie), sizeof(lie));
+  f.close();
+  ExpectShardRejected(data->schema(), path);
+}
+
+TEST(BinaryShardTest, RejectsCategoricalCodesOutsideCardinality) {
+  auto data = GenerateSynthetic(SmallConfig(50));
+  ASSERT_TRUE(data.ok());
+  const Schema& schema = data->schema();
+  for (const auto& [name, code] :
+       std::vector<std::pair<std::string, int32_t>>{{"car", 100000},
+                                                    {"zipcode", 255}}) {
+    // Dataset::Append takes codes as given, so the bad code reaches disk.
+    Dataset bad(schema);
+    const size_t attr = static_cast<size_t>(schema.FindAttr(name));
+    for (int64_t t = 0; t < data->num_tuples(); ++t) {
+      TupleValues values = data->Tuple(t);
+      if (t == 20) values[attr].cat = code;
+      ASSERT_TRUE(bad.Append(values, data->label(t)).ok());
+    }
+    const std::string path = testing::TempDir() + "/bad_" + name + ".shard";
+    ASSERT_TRUE(WriteBinaryShard(bad, path).ok());
+    ExpectShardRejected(schema, path);
+  }
 }
 
 TEST(DiskStreamSourceTest, DeliversShardsInOrderMixedFormats) {

@@ -1,66 +1,39 @@
 #!/usr/bin/env python3
-"""Convert raw bench output to the checked-in BENCH_*.json artifacts.
+"""Convert google-benchmark output to BENCH_core.json, and validate the
+checked-in BENCH_*.json artifacts.
 
-Two input formats, detected automatically:
+The suite benches write their artifacts themselves:
 
-  * google-benchmark JSON from bench/micro_kernels -> BENCH_core.json
-      ./build/bench/micro_kernels --benchmark_out=gbench.json \
-          --benchmark_out_format=json
-      python3 tools/bench_to_json.py gbench.json -o BENCH_core.json
+    ./build/bench/speedup_builders --out BENCH_parallel.json
+    ./build/bench/forest_speedup --out BENCH_forest.json
+    ./build/bench/binned_vs_sorted --out BENCH_binned.json
+    ./build/bench/infer_throughput --out BENCH_infer.json
+    ./build/bench/serve_scaling --out BENCH_serve.json
+    ./build/bench/stream_throughput --out BENCH_stream.json
 
-  * "suite": "parallel_builders" JSON from bench/speedup_builders
-    -> BENCH_parallel.json
-      ./build/bench/speedup_builders --threads 1,2,4 --out runs.json
-      python3 tools/bench_to_json.py runs.json -o BENCH_parallel.json
+The one conversion left adapts google-benchmark's JSON from
+bench/micro_kernels, a format this repo does not own:
 
-  * "suite": "forest_speedup" JSON from bench/forest_speedup
-    -> BENCH_forest.json
-      ./build/bench/forest_speedup --trees 2,8 --threads 1,2,4 \
-          --out forest.json
-      python3 tools/bench_to_json.py forest.json -o BENCH_forest.json
+    ./build/bench/micro_kernels --benchmark_out=gbench.json \
+        --benchmark_out_format=json
+    python3 tools/bench_to_json.py gbench.json -o BENCH_core.json
 
-  * "suite": "binned_vs_sorted" JSON from bench/binned_vs_sorted
-    -> BENCH_binned.json
-      ./build/bench/binned_vs_sorted --out binned.json
-      python3 tools/bench_to_json.py binned.json -o BENCH_binned.json
+The output is per-benchmark ns/record (derived from items_per_second) plus
+the AoS-vs-SoA / direct-vs-buffered speedup ratios. Benchmark family names
+are a contract with bench/micro_kernels.cc -- see the header comment there
+before renaming anything.
 
-  * "suite": "infer_throughput" JSON from bench/infer_throughput
-    -> BENCH_infer.json
-      ./build/bench/infer_throughput --out infer.json
-      python3 tools/bench_to_json.py infer.json -o BENCH_infer.json
+Validation mode schema-checks artifacts instead of converting:
 
-  * "suite": "serve_scaling" JSON from bench/serve_scaling
-    -> BENCH_serve.json
-      ./build/bench/serve_scaling --out serve.json
-      python3 tools/bench_to_json.py serve.json -o BENCH_serve.json
-
-  * "suite": "stream_throughput" JSON from bench/stream_throughput
-    -> BENCH_stream.json
-      ./build/bench/stream_throughput --out stream.json
-      python3 tools/bench_to_json.py stream.json -o BENCH_stream.json
-
-Validation mode schema-checks checked-in artifacts instead of converting:
-
-      python3 tools/bench_to_json.py --validate [BENCH_x.json ...]
+    python3 tools/bench_to_json.py --validate [BENCH_x.json ...]
 
 With no files it globs BENCH_*.json in the current directory. Every file
-must parse, carry its suite's required keys, and contain no NaN/Infinity
-and no null in a required numeric field; any violation is a hard failure.
-A file named like a checked-in artifact (basename BENCH_*.json) must also
-carry the suite that belongs at that name -- BENCH_stream.json claiming
-"suite": "serve_scaling" is rejected, so an artifact can never be silently
-overwritten by the wrong bench's output.
-
-For the kernel suite the output is per-benchmark ns/record (derived from
-items_per_second) plus the AoS-vs-SoA / direct-vs-buffered speedup ratios.
-Benchmark family names are a contract with bench/micro_kernels.cc -- see the
-header comment there before renaming anything.
-
-For the parallel suite the output groups runs by (function, algorithm) and
-derives, per thread count, the build-time speedup relative to that
-algorithm's threads=1 run plus the wait share
-(wait_seconds / (threads * build_seconds)). A missing threads=1 baseline for
-any series is an error: speedups would be meaningless.
+must parse, carry its suite's required keys and every one of its derived
+keys, and contain no NaN/Infinity and no null in a required field; any
+violation is a hard failure. A file named like a checked-in artifact
+(basename BENCH_*.json) must also carry the suite that belongs at that
+name -- BENCH_stream.json claiming "suite": "serve_scaling" is rejected, so
+an artifact can never be silently overwritten by the wrong bench's output.
 """
 
 import argparse
@@ -144,423 +117,6 @@ def convert_kernels(raw, output):
     return 0
 
 
-def convert_parallel(raw, output):
-    series = {}  # (function, algorithm) -> {threads: run}
-    for run in raw.get("runs", []):
-        key = (run["function"], run["algorithm"])
-        series.setdefault(key, {})[run["threads"]] = run
-
-    out_series = []
-    errors = []
-    for (function, algorithm), by_threads in sorted(series.items()):
-        base = by_threads.get(1)
-        if base is None or not base.get("build_seconds"):
-            errors.append(f"F{function}/{algorithm}: no threads=1 baseline")
-            continue
-        points = []
-        for threads in sorted(by_threads):
-            run = by_threads[threads]
-            build = run["build_seconds"]
-            wait = run.get("wait_seconds", 0.0)
-            points.append({
-                "threads": threads,
-                "build_seconds": round(build, 6),
-                "speedup": round(base["build_seconds"] / build, 3)
-                if build else None,
-                "wait_share": round(wait / (threads * build), 4)
-                if build else None,
-                "e_seconds": round(run.get("e_seconds", 0.0), 6),
-                "w_seconds": round(run.get("w_seconds", 0.0), 6),
-                "s_seconds": round(run.get("s_seconds", 0.0), 6),
-                "barrier_waits": run.get("barrier_waits"),
-                "condvar_waits": run.get("condvar_waits"),
-            })
-        out_series.append({
-            "function": function,
-            "algorithm": algorithm,
-            "records_scanned": base.get("records_scanned"),
-            "records_split": base.get("records_split"),
-            "points": points,
-        })
-
-    out = {
-        "schema_version": 1,
-        "suite": "parallel_builders",
-        "context": raw.get("context", {}),
-        "series": out_series,
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(out_series)} series)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not out_series:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
-def convert_forest(raw, output):
-    """Groups the timed sweep by (trees, inner, schedule) and derives, per
-    thread count, the speedup vs that series' threads=1 run. Runs with
-    schedule == "oob" are the ensemble-size sweep and become a separate
-    "oob_curve" section instead."""
-    series = {}  # (trees, inner, schedule) -> {threads: run}
-    oob_curve = []
-    for run in raw.get("runs", []):
-        if run.get("schedule") == "oob":
-            oob_curve.append({
-                "trees": run["trees"],
-                "oob_accuracy": round(run["oob_accuracy"], 4),
-                "train_seconds": round(run["train_seconds"], 6),
-            })
-            continue
-        key = (run["trees"], run["inner"], run["schedule"])
-        series.setdefault(key, {})[run["threads"]] = run
-
-    out_series = []
-    errors = []
-    for (trees, inner, schedule), by_threads in sorted(series.items()):
-        base = by_threads.get(1)
-        if base is None or not base.get("train_seconds"):
-            errors.append(f"T={trees}/{inner}/{schedule}: "
-                          "no threads=1 baseline")
-            continue
-        points = []
-        for threads in sorted(by_threads):
-            run = by_threads[threads]
-            train = run["train_seconds"]
-            points.append({
-                "threads": threads,
-                "split": f'{run["concurrent_trees"]}x{run["inner_threads"]}',
-                "train_seconds": round(train, 6),
-                "speedup": round(base["train_seconds"] / train, 3)
-                if train else None,
-            })
-        out_series.append({
-            "trees": trees,
-            "inner": inner,
-            "schedule": schedule,
-            "points": points,
-        })
-
-    out = {
-        "schema_version": 1,
-        "suite": "forest_speedup",
-        "context": raw.get("context", {}),
-        "series": out_series,
-        "oob_curve": sorted(oob_curve, key=lambda r: r["trees"]),
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(out_series)} series, "
-          f"{len(oob_curve)} oob points)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not out_series:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
-def convert_binned(raw, output):
-    """Passes the per-function engine comparison through (rounded) and
-    derives the headline numbers the README/EXPERIMENTS tables quote: the
-    worst-case |accuracy delta| and how many functions the binned engine's
-    build is faster on. Deltas are reported as-is, never clipped."""
-    runs = []
-    errors = []
-    for run in raw.get("runs", []):
-        try:
-            runs.append({
-                "function": run["function"],
-                "tuples": run["tuples"],
-                "sorted_build_ns_per_record":
-                    round(run["sorted_build_ns_per_record"], 1),
-                "binned_build_ns_per_record":
-                    round(run["binned_build_ns_per_record"], 1),
-                "build_speedup": round(run["build_speedup"], 3),
-                "sorted_total_ns_per_record":
-                    round(run["sorted_total_ns_per_record"], 1),
-                "binned_total_ns_per_record":
-                    round(run["binned_total_ns_per_record"], 1),
-                "sorted_train_accuracy": round(run["sorted_train_accuracy"], 6),
-                "binned_train_accuracy": round(run["binned_train_accuracy"], 6),
-                "train_accuracy_delta": round(run["train_accuracy_delta"], 6),
-                "sorted_test_accuracy": round(run["sorted_test_accuracy"], 6),
-                "binned_test_accuracy": round(run["binned_test_accuracy"], 6),
-                "test_accuracy_delta": round(run["test_accuracy_delta"], 6),
-                "sorted_nodes": run["sorted_nodes"],
-                "binned_nodes": run["binned_nodes"],
-                "bins_scanned": run["bins_scanned"],
-            })
-        except KeyError as e:
-            errors.append(f"run F{run.get('function', '?')}: missing {e}")
-
-    derived = None
-    if runs:
-        derived = {
-            "max_abs_train_accuracy_delta":
-                round(max(abs(r["train_accuracy_delta"]) for r in runs), 6),
-            "max_abs_test_accuracy_delta":
-                round(max(abs(r["test_accuracy_delta"]) for r in runs), 6),
-            "functions_build_faster":
-                sum(1 for r in runs if r["build_speedup"] > 1.0),
-            "functions_total": len(runs),
-        }
-
-    out = {
-        "schema_version": 1,
-        "suite": "binned_vs_sorted",
-        "context": raw.get("context", {}),
-        "runs": runs,
-        "derived": derived,
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(runs)} functions)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not runs:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
-def convert_infer(raw, output):
-    """Passes the per-function pointer-vs-flat scoring comparison through
-    (rounded) and derives the headline tallies EXPERIMENTS.md quotes: how
-    many functions clear 2x on the single tree, on the 15-member forest,
-    and on at least one of the two. Speedups are recomputed from the ns
-    columns so the artifact is internally consistent after rounding. The
-    infer_throughput bench aborts on any parity divergence, so a run that
-    produced this JSON already proved byte-identical labels and probs."""
-    runs = []
-    errors = []
-    for run in raw.get("runs", []):
-        try:
-            tree_ptr = run["tree_pointer_ns_per_tuple"]
-            tree_flat = run["tree_flat_ns_per_tuple"]
-            forest_ptr = run["forest_pointer_ns_per_tuple"]
-            forest_flat = run["forest_flat_ns_per_tuple"]
-            runs.append({
-                "function": run["function"],
-                "tuples": run["tuples"],
-                "tree_nodes": run["tree_nodes"],
-                "forest_trees": run["forest_trees"],
-                "tree_pointer_ns_per_tuple": round(tree_ptr, 2),
-                "tree_flat_ns_per_tuple": round(tree_flat, 2),
-                "tree_speedup": round(tree_ptr / tree_flat, 3),
-                "forest_pointer_ns_per_tuple": round(forest_ptr, 2),
-                "forest_flat_ns_per_tuple": round(forest_flat, 2),
-                "forest_speedup": round(forest_ptr / forest_flat, 3),
-            })
-        except KeyError as e:
-            errors.append(f"run F{run.get('function', '?')}: missing {e}")
-        except ZeroDivisionError:
-            errors.append(f"run F{run.get('function', '?')}: zero flat time")
-
-    sweep = []
-    for row in raw.get("batch_sweep", []):
-        try:
-            sweep.append({
-                "batch": row["batch"],
-                "tree_pointer_ns_per_tuple":
-                    round(row["tree_pointer_ns_per_tuple"], 2),
-                "tree_flat_ns_per_tuple":
-                    round(row["tree_flat_ns_per_tuple"], 2),
-                "forest_pointer_ns_per_tuple":
-                    round(row["forest_pointer_ns_per_tuple"], 2),
-                "forest_flat_ns_per_tuple":
-                    round(row["forest_flat_ns_per_tuple"], 2),
-            })
-        except KeyError as e:
-            errors.append(f"sweep batch {row.get('batch', '?')}: missing {e}")
-
-    derived = None
-    if runs:
-        derived = {
-            "tree_speedup_ge2_count":
-                sum(1 for r in runs if r["tree_speedup"] >= 2.0),
-            "forest_speedup_ge2_count":
-                sum(1 for r in runs if r["forest_speedup"] >= 2.0),
-            "either_speedup_ge2_count":
-                sum(1 for r in runs
-                    if r["tree_speedup"] >= 2.0 or r["forest_speedup"] >= 2.0),
-            "functions_total": len(runs),
-            "min_tree_speedup": min(r["tree_speedup"] for r in runs),
-            "max_tree_speedup": max(r["tree_speedup"] for r in runs),
-            "min_forest_speedup": min(r["forest_speedup"] for r in runs),
-            "max_forest_speedup": max(r["forest_speedup"] for r in runs),
-        }
-
-    out = {
-        "schema_version": 1,
-        "suite": "infer_throughput",
-        "context": raw.get("context", {}),
-        "runs": runs,
-        "sweep_function": raw.get("sweep_function"),
-        "batch_sweep": sweep,
-        "derived": derived,
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(runs)} functions, {len(sweep)} sweep rows)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not runs:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
-def convert_serve(raw, output):
-    """Passes the open-loop connection-scaling rows through (rounded) and
-    derives the headline claim EXPERIMENTS.md quotes: the largest
-    connection count the epoll front end served with zero errors and zero
-    drops, and its ratio to the dispatch-thread count. An epoll row at
-    <= dispatch_threads connections proves nothing about the event loop,
-    so the derived ratio only counts rows past the thread count."""
-    runs = []
-    errors = []
-    for run in raw.get("runs", []):
-        try:
-            runs.append({
-                "front_end": run["front_end"],
-                "connections": run["connections"],
-                "dispatch_threads": run["dispatch_threads"],
-                "offered_rps": round(run["offered_rps"], 1),
-                "batch": run["batch"],
-                "sent": run["sent"],
-                "dropped": run["dropped"],
-                "timeouts": run["timeouts"],
-                "errors": run["errors"],
-                "tuples_per_second": round(run["tuples_per_second"], 1),
-                "p50_ms": round(run["p50_ms"], 3),
-                "p99_ms": round(run["p99_ms"], 3),
-            })
-        except KeyError as e:
-            errors.append(
-                f"run {run.get('front_end', '?')}/"
-                f"C{run.get('connections', '?')}: missing {e}")
-
-    derived = None
-    if runs:
-        threads = runs[0]["dispatch_threads"]
-        clean = [r["connections"] for r in runs
-                 if r["front_end"] == "epoll" and r["errors"] == 0
-                 and r["dropped"] == 0]
-        max_clean = max(clean, default=0)
-        derived = {
-            "dispatch_threads": threads,
-            "epoll_max_clean_connections": max_clean,
-            "epoll_connections_per_thread":
-                round(max_clean / threads, 2) if threads else None,
-        }
-
-    out = {
-        "schema_version": 1,
-        "suite": "serve_scaling",
-        "context": raw.get("context", {}),
-        "runs": runs,
-        "derived": derived,
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(runs)} sweep points)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not runs:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
-def convert_stream(raw, output):
-    """Passes the per-function stream-vs-batch comparison through (rounded,
-    accuracy curves intact) and derives the headline claim: on how many
-    functions the one-pass streaming tree lands within 2% held-out accuracy
-    of the batch binned engine, plus the worst delta, the slowest ingest
-    rate, and the largest bounded builder state. Deltas are reported as-is,
-    never clipped."""
-    runs = []
-    errors = []
-    for run in raw.get("runs", []):
-        try:
-            runs.append({
-                "function": run["function"],
-                "tuples": run["tuples"],
-                "stream_tuples_per_second":
-                    round(run["stream_tuples_per_second"], 1),
-                "stream_ns_per_tuple": round(run["stream_ns_per_tuple"], 1),
-                "stream_test_accuracy":
-                    round(run["stream_test_accuracy"], 6),
-                "batch_test_accuracy": round(run["batch_test_accuracy"], 6),
-                "accuracy_delta": round(run["accuracy_delta"], 6),
-                "within_2pct": run["within_2pct"],
-                "stream_nodes": run["stream_nodes"],
-                "batch_nodes": run["batch_nodes"],
-                "splits": run["splits"],
-                "deactivated_leaves": run["deactivated_leaves"],
-                "stream_state_bytes": run["stream_state_bytes"],
-                "accuracy_curve": run["accuracy_curve"],
-            })
-        except KeyError as e:
-            errors.append(f"run F{run.get('function', '?')}: missing {e}")
-
-    derived = None
-    if runs:
-        context = raw.get("context", {})
-        derived = {
-            "functions_within_2pct":
-                sum(1 for r in runs if r["within_2pct"]),
-            "functions_total": len(runs),
-            "worst_accuracy_delta":
-                round(min(r["accuracy_delta"] for r in runs), 6),
-            "min_stream_tuples_per_second":
-                round(min(r["stream_tuples_per_second"] for r in runs), 1),
-            "max_stream_state_bytes":
-                max(r["stream_state_bytes"] for r in runs),
-            "peak_rss_stream_only_kb":
-                context.get("peak_rss_stream_only_kb"),
-        }
-
-    out = {
-        "schema_version": 1,
-        "suite": "stream_throughput",
-        "context": raw.get("context", {}),
-        "runs": runs,
-        "derived": derived,
-    }
-    with open(output, "w") as f:
-        json.dump(out, f, indent=2)
-        f.write("\n")
-    print(f"wrote {output} ({len(runs)} functions)")
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 1
-    if not runs:
-        print("error: no runs in input", file=sys.stderr)
-        return 1
-    return 0
-
-
 # Suite name -> (required top-level keys,
 #                [(list key, required keys per item), ...]).
 VALIDATE_SCHEMAS = {
@@ -608,6 +164,25 @@ VALIDATE_SCHEMAS = {
                    "stream_nodes", "batch_nodes", "splits",
                    "stream_state_bytes", "accuracy_curve"])],
     ),
+}
+
+# Suite name -> the keys its "derived" object must carry, each non-null.
+DERIVED_KEYS = {
+    "core_kernels": [key for key, _, _ in SPEEDUP_PAIRS],
+    "binned_vs_sorted": ["max_abs_train_accuracy_delta",
+                         "max_abs_test_accuracy_delta",
+                         "functions_build_faster", "functions_total"],
+    "infer_throughput": ["tree_speedup_ge2_count", "forest_speedup_ge2_count",
+                         "either_speedup_ge2_count", "functions_total",
+                         "min_tree_speedup", "max_tree_speedup",
+                         "min_forest_speedup", "max_forest_speedup"],
+    "serve_scaling": ["dispatch_threads", "epoll_max_clean_connections",
+                      "epoll_connections_per_thread"],
+    "stream_throughput": ["functions_within_2pct", "functions_total",
+                          "worst_accuracy_delta",
+                          "min_stream_tuples_per_second",
+                          "max_stream_state_bytes",
+                          "peak_rss_stream_only_kb"],
 }
 
 # Suite name -> the checked-in artifact basename it belongs at. A file
@@ -669,6 +244,10 @@ def validate_file(path):
     if doc.get("schema_version") != 1:
         problems.append(f"schema_version is {doc.get('schema_version')!r}, "
                         "want 1")
+    derived = doc.get("derived")
+    for key in DERIVED_KEYS.get(suite, []):
+        if not isinstance(derived, dict) or derived.get(key) is None:
+            problems.append(f"derived.{key}: missing or null")
     for list_key, item_keys in list_specs:
         items = doc.get(list_key)
         if not isinstance(items, list) or not items:
@@ -710,16 +289,14 @@ def run_validate(files):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("input", nargs="*",
-                    help="bench JSON file ('-' = stdin); with --validate, "
-                         "artifact files (default: glob BENCH_*.json)")
-    ap.add_argument("-o", "--output", default=None,
-                    help="output path (default BENCH_core.json, "
-                         "BENCH_parallel.json, BENCH_forest.json, "
-                         "BENCH_binned.json, BENCH_infer.json, or "
-                         "BENCH_serve.json by detected suite)")
+                    help="google-benchmark JSON file ('-' = stdin); with "
+                         "--validate, artifact files (default: glob "
+                         "BENCH_*.json)")
+    ap.add_argument("-o", "--output", default="BENCH_core.json",
+                    help="output path (default BENCH_core.json)")
     ap.add_argument("--validate", action="store_true",
-                    help="schema-check checked-in BENCH_*.json artifacts "
-                         "instead of converting")
+                    help="schema-check BENCH_*.json artifacts instead of "
+                         "converting")
     args = ap.parse_args()
 
     if args.validate:
@@ -732,20 +309,7 @@ def main():
     else:
         with open(args.input[0]) as f:
             raw = json.load(f)
-
-    if raw.get("suite") == "parallel_builders":
-        return convert_parallel(raw, args.output or "BENCH_parallel.json")
-    if raw.get("suite") == "forest_speedup":
-        return convert_forest(raw, args.output or "BENCH_forest.json")
-    if raw.get("suite") == "binned_vs_sorted":
-        return convert_binned(raw, args.output or "BENCH_binned.json")
-    if raw.get("suite") == "infer_throughput":
-        return convert_infer(raw, args.output or "BENCH_infer.json")
-    if raw.get("suite") == "serve_scaling":
-        return convert_serve(raw, args.output or "BENCH_serve.json")
-    if raw.get("suite") == "stream_throughput":
-        return convert_stream(raw, args.output or "BENCH_stream.json")
-    return convert_kernels(raw, args.output or "BENCH_core.json")
+    return convert_kernels(raw, args.output)
 
 
 if __name__ == "__main__":
